@@ -197,11 +197,18 @@ def _line_col(src: str, pos: int):
 _FUNCS = ("comm", "dot", "adj", "conj", "conjinv", "pow")
 
 
+#: Deepest nesting of parenthesised expressions and function arguments.  It
+#: keeps parsing, evaluation and rendering far from the interpreter's
+#: recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -230,12 +237,16 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
+        if self.depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
         start = self.peek().pos
         first = self.term()
         terms = [(1, first)]
         while self.peek().text in ("+", "-"):
             sign = 1 if self.next().text == "+" else -1
             terms.append((sign, self.term()))
+        self.depth -= 1
         if len(terms) == 1:
             return first
         return Sum(span=(start, self._end()), terms=tuple(terms))
@@ -583,10 +594,17 @@ def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False
 # ---------------------------------------------------------------------------
 
 def _default_order() -> int:
-    try:
-        return int(os.environ.get(ENV_ORDER, DEFAULT_ORDER))
-    except ValueError:
+    """The truncation order from $DIRACOBS_ORDER; ValueError if it is malformed."""
+    raw = os.environ.get(ENV_ORDER)
+    if raw is None:
         return DEFAULT_ORDER
+    try:
+        order = int(raw)
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise ValueError(f"{ENV_ORDER} must be a nonnegative integer, got {raw!r}")
+    return order
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -674,7 +692,12 @@ def _cmd_snapshot(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    try:
+        parser = _build_argparser()
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         if args.command == "eval":
             return _cmd_eval(args)

@@ -22,6 +22,14 @@ the closed product formula used by :meth:`NCElement.__mul__`:
     f * x^beta = sum_{gamma <= beta} C(beta, gamma) x^(beta-gamma)
                  (-i*hbar)^|gamma| d^gamma f / dp^gamma.
 
+The product is computed as accumulate-then-reduce: each left coefficient's
+shifted derivatives ``(-i*hbar)^|gamma| d^gamma f`` are built once, every
+monomial pair adds its unreduced coefficient products, scaled by the integer
+``C(beta, gamma)`` times the Clifford sign, into raw accumulators per output
+monomial, and each output coefficient is reduced once at the end.  The
+truncated products (:func:`mul_truncated`) are the same routine with an
+alpha-degree bound.
+
 The quantum bracket is ``(a, b) = (a b - b a)/(i hbar)`` and the symmetrised
 product is ``a . b = (a b + b a)/2``.
 
@@ -38,7 +46,7 @@ from itertools import product as _cartesian
 from math import comb
 
 from . import clifford
-from .scalars import GRat, Scalar
+from .scalars import GRat, Scalar, _finish_parts, _mul_parts
 
 _X0 = (0, 0, 0, 0)
 
@@ -48,10 +56,20 @@ class NotUnitalSeries(ValueError):
 
 
 def _sub_indices(beta):
-    """All multi-indices gamma <= beta (cached per beta)."""
+    """(gamma, beta - gamma, C(beta, gamma)) for all gamma <= beta, gamma = 0 first.
+
+    Cached per beta; C(beta, gamma) is the product of the binomials
+    C(beta_nu, gamma_nu).
+    """
     cached = _sub_indices._cache.get(beta)
     if cached is None:
-        cached = tuple(_cartesian(*(range(e + 1) for e in beta)))
+        cached = []
+        for g in _cartesian(*(range(e + 1) for e in beta)):
+            c = 1
+            for e, gi in zip(beta, g):
+                c *= comb(e, gi)
+            cached.append((g, tuple(e - gi for e, gi in zip(beta, g)), c))
+        cached = tuple(cached)
         _sub_indices._cache[beta] = cached
     return cached
 
@@ -187,58 +205,53 @@ class NCElement:
         return self._mul_impl(other, None)
 
     def _mul_impl(self, other: "NCElement", amax) -> "NCElement":
-        out: dict = {}
+        """The operator product, as one multiply-accumulate.
+
+        Every output key ``(x-exponents, word)`` owns three raw accumulators
+        for ``A + B*p0 + BB*p0^2``.  Each monomial pair adds its unreduced
+        coefficient products straight into them, scaled by the integer
+        binomial-times-Clifford-sign factor; the ``(-i*hbar)^|gamma|`` shift
+        is applied once per (left term, gamma) in the derivative memo.  Each
+        key is reduced once at the end, which is also where p0^2 is
+        rewritten and exponent overflow is caught.  With ``amax`` set, pairs
+        whose joint minimal alpha-degree exceeds it are skipped and the
+        result is truncated at alpha-degree ``amax``.
+        """
+        acc: dict = {}
         wmul_tab = clifford._TABLE
-        if amax is not None:
-            rterms = [(k, fb, fb.alpha_min_degree()) for k, fb in other._t.items()]
-        else:
-            rterms = [(k, fb, 0) for k, fb in other._t.items()]
+        truncating = amax is not None
+        rterms = [(ub, fb, fb.alpha_min_degree() if truncating else 0, _sub_indices(xb))
+                  for (xb, ub), fb in other._t.items()]
         for (xa, ua), fa in self._t.items():
-            derivs = {_X0: fa}
+            memo = {_X0: fa}
             row = wmul_tab[ua]
+            # No p/w dependence on the left: only gamma = 0 contributes.
             pfree = fa.p_free
-            fa_min = fa.alpha_min_degree() if amax is not None else 0
-            for (xb, ub), fb, fb_min in rterms:
-                if amax is not None and fa_min + fb_min > amax:
+            fa_min = fa.alpha_min_degree() if truncating else 0
+            xa0, xa1, xa2, xa3 = xa
+            for ub, fb, fb_min, subs in rterms:
+                if truncating and fa_min + fb_min > amax:
                     continue
                 sign, uc = row[ub]
-                if pfree:
-                    # No p/w dependence on the left: the monomials just merge.
-                    scal = fa * fb
-                    if sign < 0:
-                        scal = -scal
-                    key = (tuple(a + b for a, b in zip(xa, xb)), uc)
-                    prev = out.get(key)
-                    v = prev + scal if prev is not None else scal
-                    if v.is_zero:
-                        if prev is not None:
-                            del out[key]
-                    else:
-                        out[key] = v
-                    continue
-                for g in _sub_indices(xb):
-                    dfa = derivs.get(g)
+                # gamma <= beta, with beta - gamma and the binomial C(beta, gamma)
+                for g, (r0, r1, r2, r3), c in subs[:1] if pfree else subs:
+                    dfa = memo.get(g)
                     if dfa is None:
-                        dfa = _derivative(derivs, g)
+                        dfa = _shifted_derivative(memo, g)
                     if dfa.is_zero:
                         continue
-                    c = 1
-                    for e, gi in zip(xb, g):
-                        if gi:
-                            c *= comb(e, gi)
-                    k = g[0] + g[1] + g[2] + g[3]
-                    scal = dfa * fb
-                    mult = c * sign
-                    if k or mult != 1:
-                        scal = scal.mih_shift(mult, k)
-                    key = (tuple(a + b - gg for a, b, gg in zip(xa, xb, g)), uc)
-                    prev = out.get(key)
-                    v = prev + scal if prev is not None else scal
-                    if v.is_zero:
-                        if prev is not None:
-                            del out[key]
-                    else:
-                        out[key] = v
+                    key = ((xa0 + r0, xa1 + r1, xa2 + r2, xa3 + r3), uc)
+                    slot = acc.get(key)
+                    if slot is None:
+                        slot = acc[key] = ({}, {}, {})
+                    _mul_parts(slot, dfa, fb, c * sign)
+        out = {}
+        for key, slot in acc.items():
+            s = _finish_parts(slot)
+            if truncating:
+                s = s.alpha_truncate(amax)
+            if not s.is_zero:
+                out[key] = s
         return NCElement(out, normalize=False)
 
     def __rmul__(self, other) -> "NCElement":
@@ -351,11 +364,12 @@ def _coerce(x):
     return NotImplemented
 
 
-def _derivative(memo: dict, g):
-    """d^g applied to memo[(0,0,0,0)], filling the memo along the way."""
-    got = memo.get(g)
-    if got is not None:
-        return got
+def _shifted_derivative(memo: dict, g):
+    """(-i*hbar)^|g| d^g f for f = memo[(0,0,0,0)], filling the memo on the way.
+
+    The shift commutes with d/dp, so each entry is its parent's derivative
+    shifted by one more factor of -i*hbar.
+    """
     for j in range(3, -1, -1):
         if g[j]:
             parent = list(g)
@@ -364,8 +378,10 @@ def _derivative(memo: dict, g):
             break
     base = memo.get(parent)
     if base is None:
-        base = _derivative(memo, parent)
+        base = _shifted_derivative(memo, parent)
     val = base.pderiv(j)
+    if not val.is_zero:
+        val = val.mih_shift(1, 1)
     memo[g] = val
     return val
 
@@ -390,7 +406,7 @@ def mul_truncated(a: NCElement, b: NCElement, n: int) -> NCElement:
     Equals (a * b).alpha_truncate(n): brackets with alpha-graded elements
     never lower the alpha-degree, so the skipped pairs cannot contribute.
     """
-    return a._mul_impl(b, n).alpha_truncate(n)
+    return a._mul_impl(b, n)
 
 
 def bracket_truncated(a: NCElement, b: NCElement, n: int) -> NCElement:

@@ -45,6 +45,13 @@ class NonInvertibleCoefficient(ArithmeticError):
     """Inversion was attempted on a coefficient that is not c * w^k."""
 
 
+def _rational(q) -> Fraction:
+    """``Fraction(q)``, refusing floats: they are not exact, so not rounded."""
+    if isinstance(q, float):
+        raise TypeError(f"coefficients must be exact rationals, not the float {q!r}")
+    return Fraction(q)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
@@ -63,8 +70,8 @@ class GRat:
         if isinstance(re, int) and isinstance(im, int):
             self.a, self.b, self.d = re, im, 1
             return
-        re = Fraction(re)
-        im = Fraction(im)
+        re = _rational(re)
+        im = _rational(im)
         d = re.denominator * im.denominator // _gcd(re.denominator, im.denominator)
         self.a = re.numerator * (d // re.denominator)
         self.b = im.numerator * (d // im.denominator)
@@ -243,10 +250,16 @@ def _finish(acc: dict) -> dict:
     return _reduce(acc)
 
 
-def _mul_into(acc: dict, P: dict, Q: dict) -> None:
-    """acc += P*Q, unreduced (the hot loop, so _acc is written out inline)."""
+def _mul_into(acc: dict, P: dict, Q: dict, c: int = 1) -> None:
+    """acc += c*P*Q, unreduced (the hot loop, so _acc is written out inline).
+
+    The integer factor c scales each row of P once.
+    """
     for k1, (a1, b1, d1) in P.items():
         k1 -= _ONE
+        if c != 1:
+            a1 *= c
+            b1 *= c
         for k2, (a2, b2, d2) in Q.items():
             k = k1 + k2
             if b1 or b2:
@@ -264,6 +277,36 @@ def _mul_into(acc: dict, P: dict, Q: dict) -> None:
             else:
                 pd = prev[2]
                 acc[k] = (prev[0] * d + a * pd, prev[1] * d + b * pd, pd * d)
+
+
+def _mul_parts(acc: tuple, f: "Scalar", g: "Scalar", c: int = 1) -> None:
+    """acc += c * f * g, unreduced.
+
+    ``acc`` is three packed-key accumulators ``(A, B, BB)`` for the parts of
+    ``A + B*p0 + BB*p0^2``, created as ``({}, {}, {})``;
+    :func:`_finish_parts` rewrites p0^2 and reduces.
+    """
+    # (A1 + B1 p0)(A2 + B2 p0) = A1A2 + B1B2 p0^2 + (A1B2 + B1A2) p0
+    A, B, BB = acc
+    A1, B1, A2, B2 = f._a, f._b, g._a, g._b
+    if A1:
+        if A2:
+            _mul_into(A, A1, A2, c)
+        if B2:
+            _mul_into(B, A1, B2, c)
+    if B1:
+        if A2:
+            _mul_into(B, B1, A2, c)
+        if B2:
+            _mul_into(BB, B1, B2, c)
+
+
+def _finish_parts(acc: tuple) -> "Scalar":
+    """The Scalar ``A + B*p0 + BB*p0^2`` of an accumulator, p0^2 rewritten."""
+    A, B, BB = acc
+    if BB:
+        _add_p0sq_into(A, _finish(BB))
+    return Scalar(_finish(A), _finish(B), 0, False)
 
 
 def _add_p0sq_into(acc: dict, P: dict) -> None:
@@ -376,7 +419,7 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, q) -> "Scalar":
-        q = Fraction(q)
+        q = _rational(q)
         if not q:
             return cls.zero()
         return cls({_ONE: (q.numerator, 0, q.denominator)}, {}, 0, False)
@@ -474,18 +517,9 @@ class Scalar:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Scalar.zero()
-        # (A1 + B1 p0)(A2 + B2 p0) = A1A2 + B1B2 p0^2 + (A1B2 + B1A2) p0
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        a: dict = {}
-        _mul_into(a, a1, a2)
-        if b1 and b2:
-            bb: dict = {}
-            _mul_into(bb, b1, b2)
-            _add_p0sq_into(a, _finish(bb))
-        b: dict = {}
-        _mul_into(b, a1, b2)
-        _mul_into(b, b1, a2)
-        return Scalar(_finish(a), _finish(b), 0, False)
+        acc = ({}, {}, {})
+        _mul_parts(acc, self, other)
+        return _finish_parts(acc)
 
     __rmul__ = __mul__
 
@@ -615,7 +649,7 @@ class Scalar:
 
     def subst_alpha(self, values) -> "Scalar":
         """Substitute rational numbers for the four alpha parameters."""
-        vals = [Fraction(v) for v in values]
+        vals = [_rational(v) for v in values]
         out = []
         for P in (self._a, self._b):
             acc: dict = {}

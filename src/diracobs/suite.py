@@ -460,11 +460,11 @@ def _coefficient_hooks():
         return {"spin_magnitude": val.render()}
 
     def mass_coeff():
-        return {k: v for k, v in frames.check_hermitian_forms().coefficients.items()
+        return {k: v for k, v in frames.hermitian_coefficients().items()
                 if k == "mass_alpha2_correction"}
 
     def mom_coeff():
-        return {k: v for k, v in frames.check_hermitian_forms().coefficients.items()
+        return {k: v for k, v in frames.hermitian_coefficients().items()
                 if k == "momentum_dd_correction"}
 
     return {"s2.spin.W2M2": spin_mag,
@@ -473,9 +473,12 @@ def _coefficient_hooks():
 
 
 def _evaluate_entry(e: IdentityEntry, order: int):
+    """One report entry.  Any exception, a coefficient hook's included, makes
+    the entry an error with ``Type: message`` as its residual."""
     t0 = time.perf_counter()
     result = {"name": e.name, "tag": e.tag,
               "order": "exact" if e.order is None else e.order}
+    coefficients = None
     try:
         cfg = exprcli.EvalConfig(order=e.order if isinstance(e.order, int) else order,
                                  alpha_max=e.order if isinstance(e.order, int) else None)
@@ -485,18 +488,17 @@ def _evaluate_entry(e: IdentityEntry, order: int):
         if isinstance(e.order, int):
             residual = residual.alpha_truncate(e.order)
         ok = residual.is_zero
+        hook = _coefficient_hooks().get(e.name)
+        if hook and ok:
+            coefficients = hook()
         result["status"] = "pass" if ok else "fail"
         result["residual"] = "" if ok else residual.render()
     except Exception as exc:  # recorded, not fatal
         result["status"] = "error"
         result["residual"] = f"{type(exc).__name__}: {exc}"
     result["ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    hook = _coefficient_hooks().get(e.name)
-    if hook and result["status"] == "pass":
-        try:
-            result["coefficients"] = hook()
-        except Exception:
-            pass
+    if coefficients is not None:
+        result["coefficients"] = coefficients
     return result
 
 

@@ -1,6 +1,7 @@
 """Expression grammar, evaluation, rendering round-trips and the CLI."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -213,3 +214,27 @@ class TestCLI:
         args = parser.parse_args(["eval", "M"])
         # argparse default was captured at parser construction
         assert args.order == 1
+
+    def test_env_order_malformed(self, monkeypatch, capsys):
+        for raw in ("abc", "-1"):
+            monkeypatch.setenv(exprcli.ENV_ORDER, raw)
+            assert main(["eval", "M"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: DIRACOBS_ORDER must be a nonnegative integer")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("(" * 3000)
+        assert main(["eval", "(" * 3000]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        depth = exprcli.MAX_DEPTH
+        assert parse("(" * depth + "M" + ")" * depth) == parse("M")
+
+    def test_python_m_diracobs(self):
+        env = dict(os.environ)
+        env.pop(exprcli.ENV_ORDER, None)
+        done = subprocess.run([sys.executable, "-m", "diracobs", "eval", "M"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.startswith("1 | g0 | p0\n")

@@ -158,6 +158,7 @@ class TestHermitianForms:
     def test_coefficients(self, result):
         assert result.coefficients["mass_alpha2_correction"] == "3/4*hbar^2"
         assert result.coefficients["momentum_dd_correction"] == "3/32*hbar^2"
+        assert F.hermitian_coefficients() == result.coefficients
 
     def test_report_entry_shape(self, result):
         entry = result.to_report_entry()

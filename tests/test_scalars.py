@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracobs import scalars
-from diracobs.scalars import ExponentOverflow, NonInvertibleCoefficient, Scalar
+from diracobs.scalars import ExponentOverflow, GRat, NonInvertibleCoefficient, Scalar
 
 from conftest import random_scalar
 
@@ -26,6 +26,15 @@ class TestCanonicalForm:
         for _ in range(50):
             a = random_scalar(rng)
             assert a + Scalar.zero() == a
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            GRat(0.1)
+        with pytest.raises(TypeError):
+            GRat(Fraction(1, 2), 0.5)
+        with pytest.raises(TypeError):
+            Scalar.from_rational(0.25)
+        assert GRat(Fraction(1, 10)).d == 10
 
     def test_gaussian_product(self):
         one, i, hb = Scalar.one(), Scalar.imag_unit(), Scalar.hbar()

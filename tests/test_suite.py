@@ -69,6 +69,19 @@ class TestRunner:
         report = run_suite(entries)
         assert [r["status"] for r in report["entries"]] == ["error", "pass"]
 
+    def test_hook_error_recorded(self, monkeypatch):
+        def boom():
+            raise RuntimeError("hook failed")
+
+        monkeypatch.setattr(suite, "_coefficient_hooks", lambda: {"hooked": boom})
+        entries = [IdentityEntry("hooked", "M", "M", None),
+                   IdentityEntry("fine", "M", "M", None)]
+        got = run_suite(entries)["entries"]
+        assert got[0]["status"] == "error"
+        assert got[0]["residual"] == "RuntimeError: hook failed"
+        assert "coefficients" not in got[0]
+        assert got[1]["status"] == "pass"
+
     def test_filter(self):
         entries = parse_manifest(load_default_manifest())
         report = run_suite(entries, name_filter="s4.anticom")
