@@ -627,7 +627,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_check.add_argument("--order", type=int, default=_default_order())
     p_check.add_argument("--filter", default=None, help="entry-name prefix filter")
     p_check.add_argument("--format", choices=("md", "json"), default="md")
-    p_check.add_argument("--jobs", type=int, default=1)
 
     p_conj = sub.add_parser("conjugate", help="accelerated-frame shift of an expression")
     p_conj.add_argument("expr")
@@ -661,8 +660,7 @@ def _cmd_check(args) -> int:
     else:
         text = suite.default_manifest_text(args.order)
     entries = suite.parse_manifest(text)
-    report = suite.run_suite(entries, order=args.order, name_filter=args.filter,
-                             jobs=args.jobs)
+    report = suite.run_suite(entries, order=args.order, name_filter=args.filter)
     if args.format == "json":
         print(suite.report_json(report))
     else:

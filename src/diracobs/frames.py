@@ -9,17 +9,30 @@ truncated at total alpha-degree ``N``.  Each bracket with the alpha-linear
 generator raises the alpha-degree by exactly one, so dropping monomials
 above ``N`` after every step is exact for the retained orders.
 
-Closed-form targets verified against the series:
+Closed-form targets, each stated once as a family of the default manifest
+(:func:`~.suite.default_manifest_lines`) and run by the checker named in
+brackets:
 
 * conformal factor: ``1/lam = 1 - 2 a^mu x_mu + a^2 x^2`` (exact quadratic)
-  and ``lam`` as its geometric series;
-* positions: ``x_bar^mu = lam (x^mu - x^2 a^mu)``;
-* metric: ``d_mu x_bar^rho eta_rs d_nu x_bar^s = lam^2 eta_{mu nu}``;
+  and ``lam`` as its geometric series (``s5.traM``);
+* positions: ``x_bar^mu = lam (x^mu - x^2 a^mu)`` (``s5.traKsi``,
+  :func:`check_position_law`);
+* metric: ``d_mu x_bar^rho eta_rs d_nu x_bar^s = lam^2 eta_{mu nu}``
+  (``s5.traG``, :func:`metric_check`);
 * tetrad: ``g_bar_mu = lam e_mu^nu g_nu`` with the vierbein
-  ``e_mu^nu = (1/lam)^2 d^nu x_bar_mu`` (exactly alpha-quadratic);
-* momenta: ``P_bar_mu = e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho}``;
+  ``e_mu^nu = (1/lam)^2 d^nu x_bar_mu`` (exactly alpha-quadratic)
+  (``s5.traE``, :func:`check_tetrad_law`);
+* momenta: ``P_bar_mu = e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho}``
+  (``s5.traP.law``, :func:`check_momentum_law`);
+* reciprocity and canonical invariance (``s5.recip``,
+  :func:`reciprocity_check`; ``s5.inv``, :func:`canonical_invariance`);
 * hermitian-variable forms with their exact hbar^2 corrections
-  (coefficients 3 hbar^2 / 4 and 3 hbar^2 / 32).
+  (coefficients 3 hbar^2 / 4 and 3 hbar^2 / 32) (``s5.traPXS``,
+  :func:`check_hermitian_forms`).
+
+This module builds the series and the closed-form pieces the manifest
+refers to (``lam``, ``vb``, ``Evb``, ...); the laws themselves live only in
+the manifest.
 
 Commutative position calculus (``d/dx^rho``) is defined only on the
 x-subalgebra: elements with trivial Clifford word whose coefficients are
@@ -34,9 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import observables as obs
-from .conventions import SIGMA, SIGNATURE
-from .ncalg import (NCElement, PolyForm, bracket, bracket_truncated, dot,
-                    dot_truncated, geometric_inverse, mul_truncated,
+from .conventions import DEFAULT_ORDER, SIGMA, SIGNATURE
+from .ncalg import (NCElement, PolyForm, bracket_truncated, dot, geometric_inverse,
                     poly_eval_left, poly_eval_sym)
 from .scalars import Scalar
 
@@ -205,111 +217,62 @@ def vierbein(mu: int, nu: int) -> NCElement:
 
 
 # ---------------------------------------------------------------------------
-# Frame-law checks
+# Frame-law checks: each runs its family of the default manifest
 # ---------------------------------------------------------------------------
+
+def _manifest_law(name: str, family: str, order, coefficients=None,
+                  entries=None) -> FrameShift:
+    """Run the default-manifest family ``family`` (an entry-name prefix).
+
+    The manifest is generated at ``order`` (at the default order for
+    ``"exact"`` families) and every entry's residual is computed exactly as
+    the suite runner computes it.  ``entries`` replaces the family's entries,
+    e.g. with their negative controls.
+    """
+    from . import suite  # suite imports frames
+    n = DEFAULT_ORDER if order == "exact" else order
+    if entries is None:
+        entries = [e for e in suite.parse_manifest(suite.default_manifest_text(n))
+                   if e.name.startswith(family + ".")]
+    if not entries:
+        raise ValueError(f"no manifest entries in family {family!r}")
+    residuals = tuple(suite._residual(e, n) for e in entries)
+    return FrameShift(name, order, residuals, all(r.is_zero for r in residuals),
+                      dict(coefficients or {}))
+
 
 def check_position_law(order: int) -> FrameShift:
     """(1/lam) x_bar^mu == x^mu - x^2 a^mu up to the given order."""
     if order < 1:
         raise ValueError("position law needs order >= 1")
-    lam_inv = conformal_factor_inv()
-    residuals = []
-    for mu in range(4):
-        lhs = mul_truncated(lam_inv, xbar_up(mu, order), order)
-        rhs = obs.x(mu) * _eta(mu) - obs.x2() * Scalar.alpha(mu)
-        residuals.append((lhs - rhs).alpha_truncate(order))
-    return FrameShift("position-law", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
+    return _manifest_law("position-law", "s5.traKsi", order)
 
 
 def metric_check(order: int) -> FrameShift:
     """d_mu x_bar^rho eta_rs d_nu x_bar^s == lam^2 eta_{mu nu} up to order."""
-    lam = conformal_factor(order)
-    lam2 = mul_truncated(lam, lam, order)
-    residuals = []
-    for mu in range(4):
-        for nu in range(mu, 4):
-            g = NCElement.zero()
-            for rho in range(4):
-                g = g + mul_truncated(xderiv(xbar_up(rho, order), mu),
-                                      xderiv(xbar_up(rho, order), nu), order) * _eta(rho)
-            target = lam2 * _eta(mu) if mu == nu else NCElement.zero()
-            residuals.append((g - target).alpha_truncate(order))
-    return FrameShift("metric", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
+    return _manifest_law("metric", "s5.traG", order)
 
 
 def check_tetrad_law(order: int) -> FrameShift:
-    """g_bar_mu == lam e_mu^nu g_nu, plus Clifford preservation, up to order."""
-    lam = conformal_factor(order)
-    residuals = []
-    closed = []
-    for mu in range(4):
-        rhs = NCElement.zero()
-        for nu in range(4):
-            rhs = rhs + vierbein(mu, nu) * obs.gamma(nu)
-        rhs = mul_truncated(lam, rhs, order)
-        closed.append(rhs)
-        residuals.append((conjugate_named("gamma", (mu,), order) - rhs).alpha_truncate(order))
-    for mu in range(4):
-        for nu in range(mu, 4):
-            target = NCElement.one() * _eta(mu) if mu == nu else NCElement.zero()
-            residuals.append(dot_truncated(closed[mu], closed[nu], order) - target)
-    return FrameShift("tetrad", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
-
-
-def momentum_closed_form(mu: int) -> NCElement:
-    """e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho} (exact in alpha)."""
-    out = NCElement.zero()
-    for nu in range(4):
-        out = out + dot(vierbein(mu, nu), obs.P(nu))
-    for rho in range(4):
-        for nu in range(4):
-            if nu == rho:
-                continue
-            de = xderiv_up(vierbein(mu, nu), rho)
-            if de.is_zero:
-                continue
-            out = out + de * obs.s_spin(nu, rho) * Fraction(1, 2)
-    return out
+    """g_bar_mu == lam e_mu^nu g_nu, Clifford preservation and vierbein termination."""
+    return _manifest_law("tetrad", "s5.traE", order)
 
 
 def check_momentum_law(order: int) -> FrameShift:
-    residuals = []
-    for mu in range(4):
-        lhs = conjugate_named("P", (mu,), order)
-        residuals.append((lhs - momentum_closed_form(mu)).alpha_truncate(order))
-    return FrameShift("momentum", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
+    """P_bar_mu == e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho} up to order."""
+    return _manifest_law("momentum", "s5.traP.law", order)
 
 
 def reciprocity_check(order: int) -> FrameShift:
     """Conjugating with alpha then -alpha returns the observable up to order."""
     if order < 1:
         raise ValueError("reciprocity needs order >= 1")
-    targets = [("M", ())] + [("xc", (mu,)) for mu in range(4)] \
-        + [("P", (mu,)) for mu in range(4)] + [("gamma", (mu,)) for mu in range(4)]
-    residuals = []
-    for name, idx in targets:
-        a = obs.build(name, *idx)
-        back = conjugate_inverse(conjugate_named(name, idx, order), order)
-        residuals.append((back - a).alpha_truncate(order))
-    return FrameShift("reciprocity", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
+    return _manifest_law("reciprocity", "s5.recip", order)
 
 
 def canonical_invariance(order: int) -> FrameShift:
     """(P_bar_mu, x_bar_nu) == -eta_{mu nu} up to order."""
-    residuals = []
-    for mu in range(4):
-        pb = conjugate_named("P", (mu,), order)
-        for nu in range(4):
-            target = NCElement.one() * (-_eta(mu)) if mu == nu else NCElement.zero()
-            r = bracket_truncated(pb, xbar(nu, order), order) - target
-            residuals.append(r)
-    return FrameShift("canonical-invariance", order, tuple(residuals),
-                      all(r.is_zero for r in residuals))
+    return _manifest_law("canonical-invariance", "s5.inv", order)
 
 
 # ---------------------------------------------------------------------------
@@ -349,36 +312,6 @@ def ddE_P(mu: int) -> NCElement:
             if dd.is_zero:
                 continue
             out = out + dd * Scalar.p_lower(rho)
-    return out
-
-
-def mass_hermitian_rhs() -> NCElement:
-    """M . (1 - 2 a^mu X_mu + a^2 (X^2 + 3 hbar^2 / (4 P^2)))."""
-    inner = NCElement.one()
-    for mu in range(4):
-        inner = inner - obs.X(mu) * (Scalar.alpha(mu) * 2)
-    corr = obs.X2() + NCElement.from_scalar(Scalar.hbar(2) * Fraction(3, 4) * Scalar.w_pow(-2))
-    inner = inner + obs.alpha2() * corr
-    return dot(obs.M(), inner)
-
-
-def momentum_hermitian_rhs(mu: int, left_ordered: bool = False) -> NCElement:
-    """E_mu^nu . P_nu + 1/2 d^rho E_mu^nu . S_{nu rho} + (3 hbar^2/32) ddE P / P^2."""
-    Efn = E_left if left_ordered else E
-    out = NCElement.zero()
-    for nu in range(4):
-        out = out + dot(Efn(mu, nu), obs.P(nu))
-    evaluator = poly_eval_left if left_ordered else poly_eval_sym
-    for rho in range(4):
-        for nu in range(4):
-            if nu == rho:
-                continue
-            de = xderiv_up(vierbein(mu, nu), rho)
-            if de.is_zero:
-                continue
-            dE = evaluator(PolyForm.from_element(de), _X_args())
-            out = out + dot(dE, obs.S(nu, rho)) * Fraction(1, 2)
-    out = out + ddE_P(mu) * (Scalar.hbar(2) * Fraction(3, 32) * Scalar.w_pow(-2))
     return out
 
 
@@ -442,36 +375,6 @@ def hermitian_coefficients() -> dict:
 
 
 def check_hermitian_forms() -> FrameShift:
-    """Exact checks of the hermitian-variable mass and momentum laws."""
-    residuals = [conjugate_named("M", (), 2) - mass_hermitian_rhs()]
-    for mu in range(4):
-        residuals.append(conjugate_named("P", (mu,), 2) - momentum_hermitian_rhs(mu))
-        # Ordering immateriality: symmetric vs left-ordered evaluation.
-        residuals.append(momentum_hermitian_rhs(mu, left_ordered=True) - momentum_hermitian_rhs(mu))
-
-    # E-substitution ordering at the element level.
-    for mu in range(4):
-        for nu in range(4):
-            residuals.append(E(mu, nu) - E_left(mu, nu))
-
-    return FrameShift("hermitian-forms", "exact", tuple(residuals),
-                      all(r.is_zero for r in residuals), dict(hermitian_coefficients()))
-
-
-def prewarm(order: int) -> None:
-    """Materialize the shared caches used by suite entries (thread-safety)."""
-    obs.prewarm()
-    shift_generator()
-    conformal_factor(order)
-    conjugate_named("M", (), min(order, 2))
-    for mu in range(4):
-        xbar(mu, order)
-        xbar_up(mu, order)
-        conjugate_named("P", (mu,), order)
-        conjugate_named("gamma", (mu,), order)
-        for nu in range(4):
-            vierbein_raw(mu, nu, order)
-            vierbein(mu, nu)
-            E(mu, nu)
-            E_left(mu, nu)
-        ddE_P(mu)
+    """Exact hermitian-variable mass and momentum laws and E-ordering immateriality."""
+    return _manifest_law("hermitian-forms", "s5.traPXS", "exact",
+                         hermitian_coefficients())

@@ -154,9 +154,6 @@ class NCElement:
         """Coefficient of the identity monomial."""
         return self._t.get((_X0, 0), Scalar.zero())
 
-    def is_x_free(self) -> bool:
-        return all(x == _X0 for x, _ in self._t)
-
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other) -> "NCElement":
@@ -288,11 +285,6 @@ class NCElement:
 
     def subst_alpha(self, values) -> "NCElement":
         return NCElement({k: s.subst_alpha(values) for k, s in self._t.items()})
-
-    # -- involution ---------------------------------------------------------
-
-    def adjoint_with(self, inv: "Involution") -> "NCElement":
-        return inv(self)
 
     # -- rendering ----------------------------------------------------------
 

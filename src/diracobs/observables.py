@@ -37,7 +37,6 @@ The test suite re-derives these images from the fixed-point requirements.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -257,11 +256,6 @@ def alpha2() -> NCElement:
     return NCElement.from_scalar(out)
 
 
-def alpha_up(mu: int) -> NCElement:
-    """Acceleration parameter a^mu as an element."""
-    return NCElement.from_scalar(Scalar.alpha(mu))
-
-
 # -- index utilities --------------------------------------------------------
 
 def upper(builder, *indices):
@@ -331,7 +325,6 @@ def catalog_arity(name: str) -> int:
 
 # -- adjoint ----------------------------------------------------------------
 
-_INV_LOCK = threading.Lock()
 _INVOLUTION: Involution | None = None
 
 
@@ -344,13 +337,11 @@ def _gamma_image(mu: int) -> NCElement:
 
 
 def involution() -> Involution:
-    """The canonical adjoint (memoized; safe to share once built)."""
+    """The canonical adjoint (built once, then shared)."""
     global _INVOLUTION
     if _INVOLUTION is None:
-        with _INV_LOCK:
-            if _INVOLUTION is None:
-                _INVOLUTION = Involution([_x_image(mu) for mu in range(4)],
-                                         [_gamma_image(mu) for mu in range(4)])
+        _INVOLUTION = Involution([_x_image(mu) for mu in range(4)],
+                                 [_gamma_image(mu) for mu in range(4)])
     return _INVOLUTION
 
 
@@ -371,17 +362,3 @@ def spin_vector_identity(mu: int) -> NCElement:
     half_hbar = Scalar.hbar() * Fraction(1, 2)
     return S_vec(mu) + gamma5() * (gamma(mu) - V(mu)) * half_hbar
 
-
-def prewarm() -> None:
-    """Materialize every cached builder (call before concurrent use)."""
-    for name, (fn, arity) in _CATALOG.items():
-        if arity == 0:
-            fn()
-        elif arity == 1:
-            for m in range(4):
-                fn(m)
-        else:
-            for m in range(4):
-                for n in range(4):
-                    fn(m, n)
-    involution()

@@ -27,7 +27,6 @@ import json
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -472,6 +471,18 @@ def _coefficient_hooks():
             "s5.traPXS.mom.0": mom_coeff}
 
 
+def _residual(e: IdentityEntry, order: int):
+    """``lhs - rhs`` of an entry in normal form, truncated at its own order.
+
+    ``order`` is the runner's order, used by ``@ exact`` entries for series
+    written without an explicit order."""
+    n = e.order if isinstance(e.order, int) else None
+    cfg = exprcli.EvalConfig(order=order if n is None else n, alpha_max=n)
+    residual = (exprcli.evaluate(exprcli.parse(e.lhs), cfg)
+                - exprcli.evaluate(exprcli.parse(e.rhs), cfg))
+    return residual if n is None else residual.alpha_truncate(n)
+
+
 def _evaluate_entry(e: IdentityEntry, order: int):
     """One report entry.  Any exception, a coefficient hook's included, makes
     the entry an error with ``Type: message`` as its residual."""
@@ -480,13 +491,7 @@ def _evaluate_entry(e: IdentityEntry, order: int):
               "order": "exact" if e.order is None else e.order}
     coefficients = None
     try:
-        cfg = exprcli.EvalConfig(order=e.order if isinstance(e.order, int) else order,
-                                 alpha_max=e.order if isinstance(e.order, int) else None)
-        lhs = exprcli.evaluate(exprcli.parse(e.lhs), cfg)
-        rhs = exprcli.evaluate(exprcli.parse(e.rhs), cfg)
-        residual = lhs - rhs
-        if isinstance(e.order, int):
-            residual = residual.alpha_truncate(e.order)
+        residual = _residual(e, order)
         ok = residual.is_zero
         hook = _coefficient_hooks().get(e.name)
         if hook and ok:
@@ -502,18 +507,12 @@ def _evaluate_entry(e: IdentityEntry, order: int):
     return result
 
 
-def run_suite(entries, order: int = DEFAULT_ORDER, name_filter: str | None = None,
-              jobs: int = 1):
-    """Evaluate entries and assemble the report (deterministic for any jobs)."""
+def run_suite(entries, order: int = DEFAULT_ORDER, name_filter: str | None = None):
+    """Evaluate entries in order and assemble the report."""
     if name_filter:
         entries = [e for e in entries if e.name.startswith(name_filter)]
     t0 = time.perf_counter()
-    if jobs > 1:
-        frames.prewarm(order)
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda e: _evaluate_entry(e, order), entries))
-    else:
-        results = [_evaluate_entry(e, order) for e in entries]
+    results = [_evaluate_entry(e, order) for e in entries]
     totals = {"pass": sum(r["status"] == "pass" for r in results),
               "fail": sum(r["status"] == "fail" for r in results),
               "error": sum(r["status"] == "error" for r in results),

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from diracobs import frames as F, observables as obs
+from diracobs import frames as F, observables as obs, suite
+from diracobs.conventions import DEFAULT_ORDER
 from diracobs.frames import NotInCommutativeSubalgebra
-from diracobs.ncalg import NCElement, bracket, dot, mul_truncated
+from diracobs.ncalg import (NCElement, PolyForm, bracket, dot, mul_truncated,
+                            poly_eval_left, poly_eval_sym)
 from diracobs.scalars import Scalar
 
 one = NCElement.one()
@@ -177,8 +179,13 @@ class TestHermitianForms:
         for m in range(4):
             for n in range(4):
                 assert F.E(m, n) == F.E_left(m, n)
-            assert (F.momentum_hermitian_rhs(m, left_ordered=True)
-                    == F.momentum_hermitian_rhs(m))
+        # the spin-connection forms dvb[r,m,n] = d^r e_m^n, evaluated on X
+        X = F._X_args()
+        for r in range(4):
+            for m in range(4):
+                for n in range(4):
+                    form = PolyForm.from_element(F.xderiv_up(F.vierbein(m, n), r))
+                    assert poly_eval_left(form, X) == poly_eval_sym(form, X)
 
 
 class TestGroupStructure:
@@ -198,3 +205,47 @@ class TestGroupStructure:
         xb = F.xbar(1, 2)
         got = bracket(pb, xb).alpha_truncate(2)
         assert got == one
+
+
+def _family(family, order):
+    n = DEFAULT_ORDER if order == "exact" else order
+    return [e for e in suite.parse_manifest(suite.default_manifest_text(n))
+            if e.name.startswith(family + ".")]
+
+
+FAMILIES = [("position-law", "s5.traKsi", F.check_position_law),
+            ("metric", "s5.traG", F.metric_check),
+            ("tetrad", "s5.traE", F.check_tetrad_law),
+            ("momentum", "s5.traP.law", F.check_momentum_law),
+            ("reciprocity", "s5.recip", F.reciprocity_check),
+            ("canonical-invariance", "s5.inv", F.canonical_invariance)]
+
+
+class TestManifestFamilies:
+    """Each frame-law checker runs its family of the default manifest."""
+
+    @pytest.mark.parametrize("name, family, checker", FAMILIES,
+                             ids=[f[1] for f in FAMILIES])
+    def test_checker_runs_its_family(self, name, family, checker):
+        result = checker(1)
+        assert result.passed
+        assert (result.name, result.order) == (name, 1)
+        assert len(result.residuals) == len(_family(family, 1))
+
+    def test_hermitian_forms_run_their_family(self, hermitian_result):
+        assert len(hermitian_result.residuals) == len(_family("s5.traPXS", "exact"))
+
+    @pytest.mark.parametrize("name, family, order",
+                             [(name, family, 1) for name, family, _ in FAMILIES]
+                             + [("hermitian-forms", "s5.traPXS", "exact")],
+                             ids=[f[1] for f in FAMILIES] + ["s5.traPXS"])
+    def test_negative_controls_fail(self, name, family, order):
+        controls = suite.negative_controls(_family(family, order))
+        result = F._manifest_law(name, family, order, entries=controls)
+        assert result.passed is False
+        assert not result.residual.is_zero
+        assert result.to_report_entry()["status"] == "fail"
+
+    def test_unknown_family_is_an_error(self):
+        with pytest.raises(ValueError, match="no manifest entries"):
+            F._manifest_law("none", "s5.nosuchfamily", 1)
