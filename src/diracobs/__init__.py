@@ -30,8 +30,8 @@ from .ncalg import (Involution, NCElement, NotUnitalSeries, PolyForm, bracket,
                     dot, geometric_inverse, poly_eval_left, poly_eval_sym)
 from .observables import UnknownObservable, adjoint, build, catalog_names
 from .scalars import GRat, NonInvertibleCoefficient, Scalar
-from .suite import (IdentityEntry, ManifestParseError, default_manifest_text,
-                    golden_snapshot, parse_manifest, run_suite)
+from .suite import (IdentityEntry, ManifestParseError, golden_snapshot,
+                    load_default_manifest, parse_manifest, run_suite)
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,8 @@ __all__ = [
     "canonical_invariance", "catalog_names", "check_hermitian_forms",
     "check_momentum_law", "check_position_law", "check_tetrad_law",
     "conformal_factor", "conformal_factor_inv", "conjugate",
-    "conjugate_inverse", "default_manifest_text", "dot", "eval_text",
-    "geometric_inverse", "golden_snapshot", "metric_check", "parse",
+    "conjugate_inverse", "dot", "eval_text", "geometric_inverse",
+    "golden_snapshot", "load_default_manifest", "metric_check", "parse",
     "parse_manifest", "poly_eval_left", "poly_eval_sym", "reciprocity_check",
     "render_expr", "run_suite", "vierbein",
 ]

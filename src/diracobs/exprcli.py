@@ -41,8 +41,8 @@ from fractions import Fraction
 
 from . import frames, observables as obs
 from .conventions import DEFAULT_ORDER
-from .ncalg import (NCElement, PolyForm, bracket, bracket_truncated, dot,
-                    dot_truncated, mul_truncated, poly_eval_sym)
+from .ncalg import (NCElement, PolyForm, bracket_truncated, dot_truncated,
+                    mul_truncated, poly_eval_sym)
 from .observables import UnknownObservable
 from .scalars import ExponentOverflow, Scalar
 
@@ -457,7 +457,8 @@ def render_expr(node: Node) -> str:
 @dataclass
 class EvalConfig:
     order: int = DEFAULT_ORDER
-    #: When set, every product/bracket is truncated at this alpha-degree.
+    #: When set, every product/bracket is truncated at this alpha-degree;
+    #: ``None`` computes the plain products.
     #: Sound for residuals checked up to that order: no operation lowers the
     #: alpha-degree of a monomial.
     alpha_max: int | None = None
@@ -524,20 +525,14 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         return -_eval(node.a, cfg)
     if isinstance(node, Pow):
         base = _eval(node.a, cfg)
-        if cfg.alpha_max is not None:
-            out = NCElement.one()
-            for _ in range(node.n):
-                out = mul_truncated(out, base, cfg.alpha_max)
-            return out
-        return base ** node.n
+        out = NCElement.one()
+        for _ in range(node.n):
+            out = mul_truncated(out, base, cfg.alpha_max)
+        return out
     if isinstance(node, Prod):
         out = _eval(node.factors[0], cfg)
         for f in node.factors[1:]:
-            v = _eval(f, cfg)
-            if cfg.alpha_max is not None:
-                out = mul_truncated(out, v, cfg.alpha_max)
-            else:
-                out = out * v
+            out = mul_truncated(out, _eval(f, cfg), cfg.alpha_max)
         return out
     if isinstance(node, Sum):
         out = NCElement.zero()
@@ -546,13 +541,9 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
             out = out + v if sign > 0 else out - v
         return out
     if isinstance(node, Comm):
-        if cfg.alpha_max is not None:
-            return bracket_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
-        return bracket(_eval(node.a, cfg), _eval(node.b, cfg))
+        return bracket_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
     if isinstance(node, DotOp):
-        if cfg.alpha_max is not None:
-            return dot_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
-        return dot(_eval(node.a, cfg), _eval(node.b, cfg))
+        return dot_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
     if isinstance(node, Adj):
         return obs.adjoint(_eval(node.a, cfg))
     if isinstance(node, Conj):
@@ -593,18 +584,27 @@ def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False
 # CLI
 # ---------------------------------------------------------------------------
 
+def _order_arg(text: str) -> int:
+    """A truncation order: a nonnegative integer (the ``--order`` type)."""
+    try:
+        order = int(text)
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return order
+
+
 def _default_order() -> int:
     """The truncation order from $DIRACOBS_ORDER; ValueError if it is malformed."""
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
         return DEFAULT_ORDER
     try:
-        order = int(raw)
-    except ValueError:
-        order = -1
-    if order < 0:
-        raise ValueError(f"{ENV_ORDER} must be a nonnegative integer, got {raw!r}")
-    return order
+        return _order_arg(raw)
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"{ENV_ORDER} {e}") from None
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -617,20 +617,20 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate an expression to normal form")
     p_eval.add_argument("expr")
     p_eval.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
-    p_eval.add_argument("--order", type=int, default=_default_order())
+    p_eval.add_argument("--order", type=_order_arg, default=_default_order())
     p_eval.add_argument("--gamma5-alias", action="store_true",
                         help="render i*g0 g1 g2 g3 monomials as gamma5")
 
     p_check = sub.add_parser("check", help="run the identity suite")
     p_check.add_argument("--manifest", default=None,
                          help="manifest path (default: shipped manifest)")
-    p_check.add_argument("--order", type=int, default=_default_order())
+    p_check.add_argument("--order", type=_order_arg, default=_default_order())
     p_check.add_argument("--filter", default=None, help="entry-name prefix filter")
     p_check.add_argument("--format", choices=("md", "json"), default="md")
 
     p_conj = sub.add_parser("conjugate", help="accelerated-frame shift of an expression")
     p_conj.add_argument("expr")
-    p_conj.add_argument("--order", type=int, default=_default_order())
+    p_conj.add_argument("--order", type=_order_arg, default=_default_order())
     p_conj.add_argument("--alpha", default=None,
                         help="rational substitution r0,r1,r2,r3 for the parameters")
     p_conj.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
@@ -655,11 +655,9 @@ def _cmd_check(args) -> int:
     if args.manifest:
         with open(args.manifest, encoding="utf-8") as fh:
             text = fh.read()
-    elif args.order == DEFAULT_ORDER:
-        text = suite.load_default_manifest()
     else:
-        text = suite.default_manifest_text(args.order)
-    entries = suite.parse_manifest(text)
+        text = suite.load_default_manifest()
+    entries = suite.parse_manifest(text, args.order)
     report = suite.run_suite(entries, order=args.order, name_filter=args.filter)
     if args.format == "json":
         print(suite.report_json(report))

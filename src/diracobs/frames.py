@@ -9,9 +9,9 @@ truncated at total alpha-degree ``N``.  Each bracket with the alpha-linear
 generator raises the alpha-degree by exactly one, so dropping monomials
 above ``N`` after every step is exact for the retained orders.
 
-Closed-form targets, each stated once as a family of the default manifest
-(:func:`~.suite.default_manifest_lines`) and run by the checker named in
-brackets:
+Closed-form targets, each stated once as a family of the shipped manifest
+(``manifest.txt``, written at the run's order) and run by the checker named
+in brackets:
 
 * conformal factor: ``1/lam = 1 - 2 a^mu x_mu + a^2 x^2`` (exact quadratic)
   and ``lam`` as its geometric series (``s5.traM``);
@@ -222,17 +222,17 @@ def vierbein(mu: int, nu: int) -> NCElement:
 
 def _manifest_law(name: str, family: str, order, coefficients=None,
                   entries=None) -> FrameShift:
-    """Run the default-manifest family ``family`` (an entry-name prefix).
+    """Run the shipped-manifest family ``family`` (an entry-name prefix).
 
-    The manifest is generated at ``order`` (at the default order for
-    ``"exact"`` families) and every entry's residual is computed exactly as
-    the suite runner computes it.  ``entries`` replaces the family's entries,
-    e.g. with their negative controls.
+    The manifest is parsed at ``order`` (at the default order for ``"exact"``
+    families) and every entry's residual is computed exactly as the suite
+    runner computes it.  ``entries`` replaces the family's entries, e.g. with
+    their negative controls.
     """
     from . import suite  # suite imports frames
     n = DEFAULT_ORDER if order == "exact" else order
     if entries is None:
-        entries = [e for e in suite.parse_manifest(suite.default_manifest_text(n))
+        entries = [e for e in suite.parse_manifest(suite.load_default_manifest(), n)
                    if e.name.startswith(family + ".")]
     if not entries:
         raise ValueError(f"no manifest entries in family {family!r}")

@@ -392,22 +392,27 @@ def dot(a: NCElement, b: NCElement) -> NCElement:
     return (a * b + b * a) * _HALF
 
 
-def mul_truncated(a: NCElement, b: NCElement, n: int) -> NCElement:
+def mul_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
     """Product with monomial pairs of joint alpha-degree above n skipped.
 
     Equals (a * b).alpha_truncate(n): brackets with alpha-graded elements
     never lower the alpha-degree, so the skipped pairs cannot contribute.
+    With ``n=None`` it is the plain product ``a * b``.
     """
     return a._mul_impl(b, n)
 
 
-def bracket_truncated(a: NCElement, b: NCElement, n: int) -> NCElement:
-    """(a, b) truncated at alpha-degree n, skipping dead monomial pairs."""
+def bracket_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
+    """(a, b) truncated at alpha-degree n, skipping dead monomial pairs.
+
+    With ``n=None`` it is the plain bracket :func:`bracket`."""
     return (mul_truncated(a, b, n) - mul_truncated(b, a, n)) * _INV_IH
 
 
-def dot_truncated(a: NCElement, b: NCElement, n: int) -> NCElement:
-    """a . b truncated at alpha-degree n, skipping dead monomial pairs."""
+def dot_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
+    """a . b truncated at alpha-degree n, skipping dead monomial pairs.
+
+    With ``n=None`` it is the plain symmetrised product :func:`dot`."""
     return (mul_truncated(a, b, n) + mul_truncated(b, a, n)) * _HALF
 
 
@@ -423,7 +428,7 @@ def geometric_inverse(u: NCElement, n: int) -> NCElement:
     acc = NCElement.one()
     power = NCElement.one()
     for k in range(1, n + 1):
-        power = (power * v).alpha_truncate(n)
+        power = mul_truncated(power, v, n)
         if power.is_zero:
             break
         acc = acc + (power if k % 2 == 0 else -power)

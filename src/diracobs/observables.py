@@ -266,9 +266,6 @@ def upper(builder, *indices):
     return builder(*indices) * sign
 
 
-lower = upper  # the metric is its own inverse on the diagonal
-
-
 # -- catalog dispatch -------------------------------------------------------
 
 _CATALOG = {

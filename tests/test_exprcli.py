@@ -222,6 +222,20 @@ class TestCLI:
             err = capsys.readouterr().err
             assert err.startswith("error: DIRACOBS_ORDER must be a nonnegative integer")
 
+    @pytest.mark.parametrize("argv", [["eval", "M"], ["check"], ["conjugate", "M"]],
+                             ids=["eval", "check", "conjugate"])
+    @pytest.mark.parametrize("order", ["-2", "x"])
+    def test_bad_order_rejected(self, argv, order, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--order", order])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --order: must be a nonnegative integer, got '{order}'" in err
+
+    def test_order_zero_accepted(self, capsys):
+        assert main(["eval", "M", "--order", "0"]) == 0
+        assert capsys.readouterr().out.strip()
+
     def test_deep_nesting_is_a_parse_error(self, capsys):
         with pytest.raises(ParseError, match="nested deeper"):
             parse("(" * 3000)

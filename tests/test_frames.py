@@ -209,7 +209,7 @@ class TestGroupStructure:
 
 def _family(family, order):
     n = DEFAULT_ORDER if order == "exact" else order
-    return [e for e in suite.parse_manifest(suite.default_manifest_text(n))
+    return [e for e in suite.parse_manifest(suite.load_default_manifest(), n)
             if e.name.startswith(family + ".")]
 
 

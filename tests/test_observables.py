@@ -90,7 +90,7 @@ class TestIndexUtilities:
         for m in range(4):
             assert obs.upper(obs.P, m) == obs.P(m) * obs._eta(m)
             raised = lambda mu: obs.upper(obs.P, mu)
-            assert obs.lower(raised, m) == obs.P(m)
+            assert obs.upper(raised, m) == obs.P(m)
 
     def test_time_component_unchanged(self):
         assert obs.upper(obs.P, 0) == obs.P(0)

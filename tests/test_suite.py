@@ -6,9 +6,9 @@ import re
 import pytest
 
 from diracobs import suite
-from diracobs.suite import (IdentityEntry, ManifestParseError, default_manifest_text,
-                            golden_snapshot, load_default_manifest, negative_controls,
-                            parse_manifest, report_json, report_markdown, run_suite)
+from diracobs.suite import (IdentityEntry, ManifestParseError, golden_snapshot,
+                            load_default_manifest, negative_controls, parse_manifest,
+                            report_json, report_markdown, run_suite)
 
 
 class TestManifestFormat:
@@ -33,13 +33,28 @@ class TestManifestFormat:
             parse_manifest("x := M = M @ exact\n")
         assert "'=='" in str(err.value) or "==" in str(err.value)
 
+    def test_bare_order_takes_the_run_order(self):
+        text = "a := M == M @ order\nb := M == M @ order 2\nc := M == M @ exact\n"
+        assert [e.order for e in parse_manifest(text)] == [3, 2, None]
+        assert [e.order for e in parse_manifest(text, 0)] == [0, 2, None]
+        assert [e.order for e in parse_manifest(text, 5)] == [5, 2, None]
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_manifest(text, -1)
+
     def test_duplicate_names_rejected(self):
         text = "a := M == M @ exact\na := D == D @ exact\n"
         with pytest.raises(ManifestParseError):
             parse_manifest(text)
 
-    def test_shipped_file_matches_generator(self):
-        assert load_default_manifest() == default_manifest_text(3)
+    @pytest.mark.parametrize("order", range(5))
+    def test_shipped_file_at_every_order(self, order):
+        entries = parse_manifest(load_default_manifest(), order)
+        orders = {e.name: e.order for e in entries}
+        assert len(orders) == len(entries) == 644
+        assert sum(1 for n in orders.values() if n is None) == 564
+        assert orders.pop("s5.hom.Dx") == 2
+        series = [n for n in orders.values() if n is not None]
+        assert series == [order] * 79
 
     def test_default_manifest_parses(self):
         entries = parse_manifest(load_default_manifest())
@@ -87,6 +102,14 @@ class TestRunner:
         report = run_suite(entries, name_filter="s4.anticom")
         assert report["totals"]["pass"] == 27
         assert all(r["name"].startswith("s4.anticom") for r in report["entries"])
+
+    def test_negative_control_of_truncated_zero_fails(self):
+        # alpha[0]^2 vanishes at order 1, so the control must shift by 1
+        (entry,) = parse_manifest("z := 0 == alpha[0]^2 @ order 1\n")
+        assert run_suite([entry])["entries"][0]["status"] == "pass"
+        (control,) = negative_controls([entry])
+        assert control.rhs == "1"
+        assert run_suite([control])["entries"][0]["status"] == "fail"
 
     def test_negative_controls_all_fail(self):
         entries = parse_manifest(load_default_manifest())
