@@ -7,7 +7,7 @@ operator reproduce them, tying the Clifford structure to the symmetry
 algebra instead of postulating matrices.
 """
 
-from diracobs import bracket, dot
+from diracobs import bracket, dot, load_default_manifest, parse_manifest, run_suite
 from diracobs import observables as obs
 
 print("The mass operator is linear in momenta:")
@@ -49,7 +49,11 @@ print("gamma5 . eps =", dot(g5, obs.eps()).render())
 print()
 
 print("The spin vector identity ties spin to the orientation and the")
-print("difference of the two velocity notions:")
-for mu in range(4):
-    assert obs.spin_vector_identity(mu).is_zero
+print("difference of the two velocity notions; the manifest states it as")
+print("hbar g_mu = hbar V_mu - 2 gamma5 S_mu:")
+report = run_suite(parse_manifest(load_default_manifest()),
+                   name_filter="s4.defCliff.VS")
+for r in report["entries"]:
+    print(f"  {r['name']}: {r['status']}")
+assert report["totals"]["pass"] == 4 == len(report["entries"])
 print("S_mu = -(hbar/2) gamma5 (gamma_mu - V_mu) for all mu: True")

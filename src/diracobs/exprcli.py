@@ -496,6 +496,13 @@ _FRAME_ARITY = {"laminv": 0, "lam": 0, "vb": 2, "vbraw": 2, "dvb": 3,
                 "dxbar": 2, "Evb": 2, "EvbL": 2, "dEvb": 3, "ddvbP": 1}
 
 
+def is_defined_name(name: str) -> bool:
+    """Whether ``name`` already means something in an expression: a keyword,
+    a function, a frame quantity or a catalog observable."""
+    return (name in ("i", "hbar", "alpha", "order") or name in _FUNCS
+            or name in _FRAME_ARITY or name in obs.catalog_names())
+
+
 def evaluate(node: Node, config: EvalConfig | None = None) -> NCElement:
     """Evaluate an expression to its normal form."""
     config = config or EvalConfig()
@@ -553,10 +560,9 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         if isinstance(a, Ref) and a.name not in _FRAME_ARITY:
             # cached path shared across suite entries
             try:
-                obs.catalog_arity(a.name)
-            except UnknownObservable:
-                raise EvalError(f"unknown observable: {a.name}", a.span) from None
-            return frames.conjugate_named(a.name, a.indices, order, sign)
+                return frames.conjugate_named(a.name, a.indices, order, sign)
+            except UnknownObservable as e:
+                raise EvalError(f"unknown observable: {e.args[0]}", a.span) from None
         return frames.conjugate(_eval(a, cfg), order, sign)
     raise EvalError("unsupported expression node", getattr(node, "span", (0, 0)))
 
@@ -659,6 +665,9 @@ def _cmd_check(args) -> int:
         text = suite.load_default_manifest()
     entries = suite.parse_manifest(text, args.order)
     report = suite.run_suite(entries, order=args.order, name_filter=args.filter)
+    if not report["entries"]:
+        raise ValueError("no manifest entries selected"
+                         + (f" by --filter {args.filter!r}" if args.filter else ""))
     if args.format == "json":
         print(suite.report_json(report))
     else:

@@ -27,12 +27,12 @@ in brackets:
 * reciprocity and canonical invariance (``s5.recip``,
   :func:`reciprocity_check`; ``s5.inv``, :func:`canonical_invariance`);
 * hermitian-variable forms with their exact hbar^2 corrections
-  (coefficients 3 hbar^2 / 4 and 3 hbar^2 / 32) (``s5.traPXS``,
-  :func:`check_hermitian_forms`).
+  (coefficients 3 hbar^2 / 4 and 3 hbar^2 / 32, bound by name in the
+  entries that state them) (``s5.traPXS``, :func:`check_hermitian_forms`).
 
 This module builds the series and the closed-form pieces the manifest
-refers to (``lam``, ``vb``, ``Evb``, ...); the laws themselves live only in
-the manifest.
+refers to (``lam``, ``vb``, ``Evb``, ...); the laws and their coefficients
+live only in the manifest.
 
 Commutative position calculus (``d/dx^rho``) is defined only on the
 x-subalgebra: elements with trivial Clifford word whose coefficients are
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from . import observables as obs
 from .conventions import DEFAULT_ORDER, SIGMA, SIGNATURE
-from .ncalg import (NCElement, PolyForm, bracket_truncated, dot, geometric_inverse,
+from .ncalg import (NCElement, PolyForm, bracket_truncated, geometric_inverse,
                     poly_eval_left, poly_eval_sym)
 from .scalars import Scalar
 
@@ -220,14 +220,14 @@ def vierbein(mu: int, nu: int) -> NCElement:
 # Frame-law checks: each runs its family of the default manifest
 # ---------------------------------------------------------------------------
 
-def _manifest_law(name: str, family: str, order, coefficients=None,
-                  entries=None) -> FrameShift:
+def _manifest_law(name: str, family: str, order, entries=None) -> FrameShift:
     """Run the shipped-manifest family ``family`` (an entry-name prefix).
 
     The manifest is parsed at ``order`` (at the default order for ``"exact"``
     families) and every entry's residual is computed exactly as the suite
-    runner computes it.  ``entries`` replaces the family's entries, e.g. with
-    their negative controls.
+    runner computes it; the coefficients bound by the passing entries are
+    collected.  ``entries`` replaces the family's entries, e.g. with their
+    negative controls.
     """
     from . import suite  # suite imports frames
     n = DEFAULT_ORDER if order == "exact" else order
@@ -237,8 +237,12 @@ def _manifest_law(name: str, family: str, order, coefficients=None,
     if not entries:
         raise ValueError(f"no manifest entries in family {family!r}")
     residuals = tuple(suite._residual(e, n) for e in entries)
+    coefficients = {}
+    for e, r in zip(entries, residuals):
+        if r.is_zero:
+            coefficients.update(suite._coefficients(e, n))
     return FrameShift(name, order, residuals, all(r.is_zero for r in residuals),
-                      dict(coefficients or {}))
+                      coefficients)
 
 
 def check_position_law(order: int) -> FrameShift:
@@ -315,66 +319,11 @@ def ddE_P(mu: int) -> NCElement:
     return out
 
 
-def _scalar_ratio(target: NCElement, base: NCElement):
-    """Unit Scalar c with target == base * c, or None."""
-    if base.is_zero:
-        return None
-    bx, bw, bs = base.terms()[0]
-    ts = target._t.get((bx, bw))
-    if ts is None:
-        return None
-    bk, bwe, bc = bs.display_monomials()[0]
-    tk, twe, tc = ts.display_monomials()[0]
-    if bk[1:] != tk[1:]:
-        return None
-    c = Scalar.from_grat(tc * bc.inv()) * Scalar.hbar(tk[0] - bk[0]) * Scalar.w_pow(twe - bwe)
-    if base * c == target:
-        return c
-    return None
-
-
-@lru_cache(maxsize=None)
-def hermitian_coefficients() -> dict:
-    """The hbar^2 corrections of the hermitian-variable laws, as rendered Scalars.
-
-    ``mass_alpha2_correction`` is the coefficient c of ``alpha^2 M c / P^2``
-    left in the mass law once the classical part is removed, and
-    ``momentum_dd_correction`` the coefficient of ``ddE_P(0) / P^2`` in the
-    momentum law.  Each is present only when the remainder is exactly that
-    multiple, which :func:`_scalar_ratio` verifies.  The dict is shared by
-    every caller: read it, never mutate it.
-    """
-    coeffs = {}
-    # Extract the hbar^2 correction on the alpha^2 M / P^2 term.
-    bare = NCElement.one()
-    for mu in range(4):
-        bare = bare - obs.X(mu) * (Scalar.alpha(mu) * 2)
-    bare = bare + obs.alpha2() * obs.X2()
-    t = conjugate_named("M", (), 2) - dot(obs.M(), bare)
-    c = _scalar_ratio(t, obs.alpha2() * obs.M() * Scalar.w_pow(-2))
-    if c is not None:
-        coeffs["mass_alpha2_correction"] = c.render()
-
-    partial = NCElement.zero()
-    for nu in range(4):
-        partial = partial + dot(E(0, nu), obs.P(nu))
-    for rho in range(4):
-        for nu in range(4):
-            if nu == rho:
-                continue
-            de = xderiv_up(vierbein(0, nu), rho)
-            if de.is_zero:
-                continue
-            dE = poly_eval_sym(PolyForm.from_element(de), _X_args())
-            partial = partial + dot(dE, obs.S(nu, rho)) * Fraction(1, 2)
-    t2 = conjugate_named("P", (0,), 2) - partial
-    c2 = _scalar_ratio(t2, ddE_P(0) * Scalar.w_pow(-2))
-    if c2 is not None:
-        coeffs["momentum_dd_correction"] = c2.render()
-    return coeffs
-
-
 def check_hermitian_forms() -> FrameShift:
-    """Exact hermitian-variable mass and momentum laws and E-ordering immateriality."""
-    return _manifest_law("hermitian-forms", "s5.traPXS", "exact",
-                         hermitian_coefficients())
+    """Exact hermitian-variable mass and momentum laws and E-ordering immateriality.
+
+    The hbar^2 corrections are the coefficients the family's manifest
+    entries bind: ``mass_alpha2_correction`` (of ``alpha^2 M / P^2`` in the
+    mass law) and ``momentum_dd_correction`` (of ``ddE_P(0) / P^2`` in the
+    momentum law)."""
+    return _manifest_law("hermitian-forms", "s5.traPXS", "exact")

@@ -345,17 +345,3 @@ def involution() -> Involution:
 def adjoint(el: NCElement) -> NCElement:
     """Adjoint of an element under the canonical involution."""
     return involution()(el)
-
-
-# -- derived identity helpers ------------------------------------------------
-
-def spin_vector_identity(mu: int) -> NCElement:
-    """Residual of S_m + (hbar/2) gamma5 (g_m - V_m); expected zero.
-
-    The products here are plain operator products: gamma5 anticommutes with
-    both g_m and V_m, so the symmetrised product would vanish identically
-    and carry no content.
-    """
-    half_hbar = Scalar.hbar() * Fraction(1, 2)
-    return S_vec(mu) + gamma5() * (gamma(mu) - V(mu)) * half_hbar
-

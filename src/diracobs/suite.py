@@ -5,6 +5,7 @@ The manifest is a line-oriented UTF-8 text format::
     name := lhs == rhs @ exact
     name := lhs == rhs @ order
     name := lhs == rhs @ order 2
+    name := lhs == coeff @ exact; coeff = -3/4*hbar^2
     # comment
 
 Expressions use the grammar of :mod:`~.exprcli`.  Entry names carry the
@@ -16,6 +17,12 @@ entries must vanish after truncation at total alpha-degree N (their
 evaluation threads N through every product, which is sound because no
 operation lowers the alpha-degree of a monomial).  A bare ``@ order`` takes
 the order of the run, so one file states each series law at every order.
+
+An entry may bind one named coefficient after its clause.  The name stands
+for ``(expr)`` in the right-hand side, so the identity itself checks the
+value; when the entry passes, the report prints ``name = value`` with the
+value rendered as a scalar.  A binding that is not a pure scalar makes its
+entry an error.
 
 The shipped manifest (``manifest.txt``, package data) is the only place the
 identities of the model are written: every catalog relation and every
@@ -30,9 +37,9 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from . import exprcli, frames
+from . import exprcli
 from .conventions import DEFAULT_ORDER
-from .scalars import Scalar
+from .ncalg import NCElement
 
 
 class ManifestParseError(ValueError):
@@ -50,6 +57,9 @@ class IdentityEntry:
     rhs: str
     order: object  # int or None for exact
     tag: str = ""
+    #: ``(name, expr)`` of the bound coefficient; ``rhs`` already has
+    #: ``(expr)`` in place of the name.
+    binding: tuple | None = None
 
     def __post_init__(self):
         if not self.tag:
@@ -57,12 +67,33 @@ class IdentityEntry:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def _bind(rhs: str, binding: str, lineno: int, column: int):
+    """``rhs`` with the bound name replaced by ``(expr)``, and ``(name, expr)``."""
+    if "=" not in binding:
+        raise ManifestParseError("missing '=' in coefficient binding", lineno, column)
+    name, expr = (part.strip() for part in binding.split("=", 1))
+    if not _IDENT_RE.match(name):
+        raise ManifestParseError(f"bad coefficient name {name!r}", lineno, column)
+    if exprcli.is_defined_name(name):
+        raise ManifestParseError(f"coefficient name {name!r} is already defined",
+                                 lineno, column)
+    if not expr:
+        raise ManifestParseError("empty expression", lineno, column)
+    rhs, uses = re.subn(rf"\b{name}\b", lambda _: f"({expr})", rhs)
+    if not uses:
+        raise ManifestParseError(f"coefficient {name!r} is not used in the rhs",
+                                 lineno, column)
+    return rhs, (name, expr)
 
 
 def parse_manifest(text: str, order: int = DEFAULT_ORDER):
     """Parse manifest text into entries; positions are 1-based.
 
-    A bare ``@ order`` clause resolves to ``order``, the run's order."""
+    A bare ``@ order`` clause resolves to ``order``, the run's order, and a
+    coefficient binding is resolved into the right-hand side."""
     if order < 0:
         raise ValueError(f"order must be a nonnegative integer, got {order}")
     entries = []
@@ -87,6 +118,7 @@ def parse_manifest(text: str, order: int = DEFAULT_ORDER):
             raise ManifestParseError("missing '@ (exact|order|order N)'", lineno,
                                      raw.index("==") + 3)
         rhs, clause = rest.rsplit("@", 1)
+        clause, semi, binding = clause.partition(";")
         clause = clause.strip()
         if clause == "exact":
             n = None
@@ -101,7 +133,11 @@ def parse_manifest(text: str, order: int = DEFAULT_ORDER):
         lhs, rhs = lhs.strip(), rhs.strip()
         if not lhs or not rhs:
             raise ManifestParseError("empty expression", lineno)
-        entries.append(IdentityEntry(name, lhs, rhs, n))
+        bound = None
+        if semi:
+            at = raw.split("#", 1)[0].rindex("@")
+            rhs, bound = _bind(rhs, binding, lineno, raw.index(";", at) + 2)
+        entries.append(IdentityEntry(name, lhs, rhs, n, binding=bound))
     return entries
 
 
@@ -117,25 +153,6 @@ def load_default_manifest() -> str:
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
-
-def _coefficient_hooks():
-    def spin_mag():
-        from . import observables as obs
-        val = (obs.W2() * Scalar.w_pow(-2)).scalar_part()
-        return {"spin_magnitude": val.render()}
-
-    def mass_coeff():
-        return {k: v for k, v in frames.hermitian_coefficients().items()
-                if k == "mass_alpha2_correction"}
-
-    def mom_coeff():
-        return {k: v for k, v in frames.hermitian_coefficients().items()
-                if k == "momentum_dd_correction"}
-
-    return {"s2.spin.W2M2": spin_mag,
-            "s5.traPXS.mass": mass_coeff,
-            "s5.traPXS.mom.0": mom_coeff}
-
 
 def _side(src: str, e: IdentityEntry, order: int):
     """One side ``src`` of entry ``e`` in normal form, truncated at its order.
@@ -153,26 +170,38 @@ def _residual(e: IdentityEntry, order: int):
     return _side(e.lhs, e, order) - _side(e.rhs, e, order)
 
 
+def _coefficients(e: IdentityEntry, order: int) -> dict:
+    """``{name: rendered scalar}`` of the entry's binding, ``{}`` without one.
+
+    ValueError if the bound expression is not a pure scalar."""
+    if e.binding is None:
+        return {}
+    name, expr = e.binding
+    el = _side(expr, e, order)
+    value = el.scalar_part()
+    if el != NCElement.from_scalar(value):
+        raise ValueError(f"coefficient {name!r} is not a pure scalar")
+    return {name: value.render()}
+
+
 def _evaluate_entry(e: IdentityEntry, order: int):
-    """One report entry.  Any exception, a coefficient hook's included, makes
-    the entry an error with ``Type: message`` as its residual."""
+    """One report entry.  Any exception, a non-scalar binding's included,
+    makes the entry an error with ``Type: message`` as its residual."""
     t0 = time.perf_counter()
     result = {"name": e.name, "tag": e.tag,
               "order": "exact" if e.order is None else e.order}
-    coefficients = None
+    coefficients = {}
     try:
         residual = _residual(e, order)
         ok = residual.is_zero
-        hook = _coefficient_hooks().get(e.name)
-        if hook and ok:
-            coefficients = hook()
+        coefficients = _coefficients(e, order) if ok else {}
         result["status"] = "pass" if ok else "fail"
         result["residual"] = "" if ok else residual.render()
     except Exception as exc:  # recorded, not fatal
         result["status"] = "error"
         result["residual"] = f"{type(exc).__name__}: {exc}"
     result["ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    if coefficients is not None:
+    if coefficients:
         result["coefficients"] = coefficients
     return result
 

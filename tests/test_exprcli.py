@@ -153,6 +153,17 @@ class TestEvaluation:
             eval_text("comm(Q[0], M)")
         assert "unknown observable" in str(e.value)
 
+    def test_conj_arity_error_has_a_span(self):
+        with pytest.raises(EvalError) as plain:
+            eval_text("P")
+        with pytest.raises(EvalError) as conj:
+            eval_text("conj(P)")
+        assert conj.value.message == plain.value.message
+        assert conj.value.message == "unknown observable: P takes 1 index(es), got 0"
+        assert conj.value.span == (5, 6)
+        with pytest.raises(EvalError, match="unknown observable: Q"):
+            eval_text("conj(Q[1])")
+
     def test_frame_builtins(self):
         from diracobs import frames
         assert eval_text("laminv") == frames.conformal_factor_inv()
@@ -189,12 +200,22 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     def test_eval_error_exit_code(self, capsys):
-        assert main(["eval", "Q[0]"]) == 2
-        assert "unknown observable" in capsys.readouterr().err
+        for expr in ("Q[0]", "conj(P)"):
+            assert main(["eval", expr]) == 2
+            assert "unknown observable" in capsys.readouterr().err
 
     def test_exponent_overflow_exit_code(self, capsys):
         assert main(["eval", "hbar^16384"]) == 2
         assert capsys.readouterr().err.startswith("error: exponents must lie in")
+
+    def test_empty_check_exit_code(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no entries\n")
+        for extra in (["--filter", "nosuch"], ["--manifest", str(empty)]):
+            assert main(["check"] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: no manifest entries selected")
+            assert captured.out == ""
 
     def test_conjugate_with_substitution(self, capsys):
         assert main(["conjugate", "M", "--order", "2", "--alpha", "0,1,0,0"]) == 0

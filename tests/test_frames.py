@@ -160,7 +160,7 @@ class TestHermitianForms:
     def test_coefficients(self, result):
         assert result.coefficients["mass_alpha2_correction"] == "3/4*hbar^2"
         assert result.coefficients["momentum_dd_correction"] == "3/32*hbar^2"
-        assert F.hermitian_coefficients() == result.coefficients
+        assert F.check_hermitian_forms().coefficients == result.coefficients
 
     def test_report_entry_shape(self, result):
         entry = result.to_report_entry()
@@ -244,6 +244,7 @@ class TestManifestFamilies:
         result = F._manifest_law(name, family, order, entries=controls)
         assert result.passed is False
         assert not result.residual.is_zero
+        assert result.coefficients == {}
         assert result.to_report_entry()["status"] == "fail"
 
     def test_unknown_family_is_an_error(self):

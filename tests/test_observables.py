@@ -44,10 +44,6 @@ class TestDefiningRelations:
             assert obs.V(m) == bracket(obs.X(m), obs.M())
             assert obs.gamma(m) == bracket(obs.x(m), obs.M())
 
-    def test_spin_vector_identity(self):
-        for m in range(4):
-            assert obs.spin_vector_identity(m).is_zero
-
     def test_spin_vector_contraction_with_momentum(self):
         # contracting -hbar/2 gamma5 gamma_mu with P^mu gives -hbar/2 gamma5 M
         half = Scalar.hbar() * Fraction(-1, 2)

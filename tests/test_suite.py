@@ -1,11 +1,10 @@
 """Manifest parsing, runner semantics, reporting, golden snapshots."""
 
+import hashlib
 import json
-import re
 
 import pytest
 
-from diracobs import suite
 from diracobs.suite import (IdentityEntry, ManifestParseError, golden_snapshot,
                             load_default_manifest, negative_controls, parse_manifest,
                             report_json, report_markdown, run_suite)
@@ -40,6 +39,28 @@ class TestManifestFormat:
         assert [e.order for e in parse_manifest(text, 5)] == [5, 2, None]
         with pytest.raises(ValueError, match="nonnegative"):
             parse_manifest(text, -1)
+
+    def test_binding_resolved_into_rhs(self):
+        (e,) = parse_manifest("s2.w := W2*Minv2 == c + 0*c @ exact; c = -3/4*hbar^2"
+                              "  # c; d\n")
+        assert e.rhs == "(-3/4*hbar^2) + 0*(-3/4*hbar^2)"
+        assert e.binding == ("c", "-3/4*hbar^2")
+        assert (e.order, e.tag) == (None, "s2")
+
+    @pytest.mark.parametrize("binding, message", [
+        ("c -3/4", "missing '='"),
+        ("2c = 1", "bad coefficient name"),
+        ("c.d = 1", "bad coefficient name"),
+        ("d = 1", "not used"),
+        ("M = 1", "already defined"),
+        ("lam = 1", "already defined"),
+        ("hbar = 1", "already defined"),
+    ])
+    def test_bad_bindings_rejected(self, binding, message):
+        text = f"# header\nx := M*c == c*M @ exact; {binding}\n"
+        with pytest.raises(ManifestParseError, match=message) as err:
+            parse_manifest(text)
+        assert err.value.line == 2
 
     def test_duplicate_names_rejected(self):
         text = "a := M == M @ exact\na := D == D @ exact\n"
@@ -84,18 +105,24 @@ class TestRunner:
         report = run_suite(entries)
         assert [r["status"] for r in report["entries"]] == ["error", "pass"]
 
-    def test_hook_error_recorded(self, monkeypatch):
-        def boom():
-            raise RuntimeError("hook failed")
-
-        monkeypatch.setattr(suite, "_coefficient_hooks", lambda: {"hooked": boom})
-        entries = [IdentityEntry("hooked", "M", "M", None),
-                   IdentityEntry("fine", "M", "M", None)]
+    def test_non_scalar_binding_is_an_error(self):
+        entries = parse_manifest("bound := M == c @ exact; c = M\n"
+                                 "fine := M == M @ exact\n")
         got = run_suite(entries)["entries"]
         assert got[0]["status"] == "error"
-        assert got[0]["residual"] == "RuntimeError: hook failed"
+        assert got[0]["residual"] == "ValueError: coefficient 'c' is not a pure scalar"
         assert "coefficients" not in got[0]
         assert got[1]["status"] == "pass"
+
+    def test_wrong_coefficient_fails_without_a_line(self):
+        entries = parse_manifest(
+            "s2.spin.W2M2 := W2*Minv2 == spin_magnitude @ exact; "
+            "spin_magnitude = 3/4*hbar^2\n")
+        report = run_suite(entries)
+        (got,) = report["entries"]
+        assert got["status"] == "fail" and got["residual"]
+        assert "coefficients" not in got
+        assert "spin_magnitude" not in report_markdown(report)
 
     def test_filter(self):
         entries = parse_manifest(load_default_manifest())
@@ -124,7 +151,8 @@ class TestRunner:
 def small_report():
     entries = parse_manifest(
         "s2.a := M == M @ exact\n"
-        "s2.spin.W2M2 := W2*Minv2 == -3/4*hbar^2 @ exact\n"
+        "s2.spin.W2M2 := W2*Minv2 == spin_magnitude @ exact; "
+        "spin_magnitude = -3/4*hbar^2\n"
         "s5.bad := M == D @ exact\n")
     return run_suite(entries)
 
@@ -149,6 +177,23 @@ class TestReports:
         assert "| s5.bad | s5 | exact | fail |" in md
         assert "ms" not in md.splitlines()[3]
         assert md.strip().endswith("2 pass, 1 fail, 0 error")
+
+
+#: SHA-256 of ``report_markdown`` for the shipped manifest at orders 0-3,
+#: recorded before the coefficients moved into the manifest.
+PINNED_MARKDOWN = {
+    0: "2816d2a719b2c286d8e819953e1aaf80116ce26415c42c25f40cbce95b8f6ce6",
+    1: "9f2ed506f687acc7097f0e9b9fce2d21997d790f762cf8f2d144ec6ca950ab28",
+    2: "958cccb9f2c07c1e58a6ca2ac2b413a09e44be3e0866a381fe0c90cd2d627fc1",
+    3: "c823140b76a2ca0bd7514e141dddc9a0109a11fa83d707327cafc925cf965744",
+}
+
+
+def test_check_report_bytes_pinned():
+    text = load_default_manifest()
+    for order, digest in PINNED_MARKDOWN.items():
+        md = report_markdown(run_suite(parse_manifest(text, order), order))
+        assert hashlib.sha256(md.encode()).hexdigest() == digest, f"order {order}"
 
 
 class TestGoldenSnapshots:
