@@ -14,7 +14,8 @@ Precedence: unary minus > '^' > '*' > binary +/- (so ``-M^2`` is ``(-M)^2``).
 Numbers are nonnegative rationals (``3`` or ``3/4``); there is no division
 operator.  Functions: ``comm(a, b)``, ``dot(a, b)``, ``adj(a)``,
 ``pow(a, n)``, ``conj(a)`` / ``conj(a; order=N)`` and its inverse-parameter
-variant ``conjinv``.
+variant ``conjinv``.  Exponents and orders are bounded by the work budgets
+``MAX_POWER``, ``MAX_MONOMIAL_POWER`` and ``MAX_ORDER``.
 
 Observable references use catalog names with lowered indices
 (``P[0]``, ``J[0,1]``, ``Xh[2]``, ``xc[3]``, ``gamma[1]``, ``gamma5``, ``M``,
@@ -202,6 +203,27 @@ _FUNCS = ("comm", "dot", "adj", "conj", "conjinv", "pow")
 #: recursion limit.
 MAX_DEPTH = 100
 
+#: Work budgets.  The shipped manifest raises nothing above the power 2 and
+#: is run up to order 6; past a budget the input is an error, not a long run.
+#: Operator powers grow fast (``C[0]^8`` has ~12k monomials and takes ~6 s,
+#: ``Xh[0]^24`` ~1 s), so ``a^n`` and ``pow(a, n)`` allow n <= MAX_POWER.
+MAX_POWER = 8
+#: A literal monomial base (a number, ``i``, ``hbar`` or ``alpha[mu]``,
+#: possibly negated) has a one-monomial power.  Its budget is the span of a
+#: packed hbar exponent, so ``hbar^16384`` still reports its overflow.
+MAX_MONOMIAL_POWER = 1 << 15
+#: Largest truncation order of ``--order``, ``$DIRACOBS_ORDER``,
+#: ``conj(a; order=N)`` and a manifest's ``@ order N``.  A frame series
+#: costs ~2.5x more per order.
+MAX_ORDER = 10
+
+
+def _power_limit(base: "Node") -> int:
+    """The exponent budget of ``base^n`` and ``pow(base, n)``."""
+    while isinstance(base, Neg):
+        base = base.a
+    return MAX_MONOMIAL_POWER if isinstance(base, (Num, Imag, Hbar, Alpha)) else MAX_POWER
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -272,17 +294,20 @@ class _Parser:
             node = Neg(span=(start, self._end()), a=node)
         if self.peek().text == "^":
             self.next()
-            n = self.nat()
+            n = self.nat(_power_limit(node))
             node = Pow(span=(start, self._end()), a=node, n=n)
         return node
 
-    def nat(self) -> int:
+    def nat(self, limit: int, what: str = "exponent") -> int:
         t = self.peek()
         if t.kind != "number" or "/" in t.text:
-            self.error("exponent must be a nonnegative integer",
+            self.error(f"{what} must be a nonnegative integer",
                        expected=("natural number",))
+        n = int(t.text)
+        if n > limit:
+            self.error(f"{what} {n} is above the limit {limit}")
         self.next()
-        return int(t.text)
+        return n
 
     def index(self) -> int:
         t = self.peek()
@@ -353,7 +378,7 @@ class _Parser:
         if name == "pow":
             a = self.expr()
             self.expect(",")
-            n = self.nat()
+            n = self.nat(_power_limit(a))
             self.expect(")")
             return Pow(span=(start, self._end()), a=a, n=n)
         # conj / conjinv, with optional "; order=N"
@@ -366,7 +391,7 @@ class _Parser:
                 self.error("expected order=N after ';'", expected=("order",))
             self.next()
             self.expect("=")
-            order = self.nat()
+            order = self.nat(MAX_ORDER, "order")
         self.expect(")")
         return Conj(span=(start, self._end()), a=a, order=order,
                     inverse=(name == "conjinv"))
@@ -591,7 +616,7 @@ def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False
 # ---------------------------------------------------------------------------
 
 def _order_arg(text: str) -> int:
-    """A truncation order: a nonnegative integer (the ``--order`` type)."""
+    """A truncation order: an integer 0..MAX_ORDER (the ``--order`` type)."""
     try:
         order = int(text)
     except ValueError:
@@ -599,6 +624,9 @@ def _order_arg(text: str) -> int:
     if order < 0:
         raise argparse.ArgumentTypeError(
             f"must be a nonnegative integer, got {text!r}")
+    if order > MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_ORDER}, got {text!r}")
     return order
 
 

@@ -31,7 +31,17 @@ truncated products (:func:`mul_truncated`) are the same routine with an
 alpha-degree bound.
 
 The quantum bracket is ``(a, b) = (a b - b a)/(i hbar)`` and the symmetrised
-product is ``a . b = (a b + b a)/2``.
+product is ``a . b = (a b + b a)/2``.  Neither builds two products: the same
+routine accumulates ``ab - ba`` (or ``ab + ba``) directly, adding the
+reordering terms of ``ab`` and of ``ba`` with their signs.  The term with no
+reordering derivative is the same coefficient product ``fa fb`` on the same
+output monomial in ``ab`` and ``ba``, up to the Clifford signs of ``uv`` and
+``vu``; two basis words either commute or anticommute, so in a bracket that
+term cancels exactly for commuting words and is added once, doubled, for
+anticommuting ones (the symmetrised product swaps the two cases).  This is
+the standard-ordering form of the star commutator having no hbar^0 term
+(Groenewold 1946, Moyal 1949), with the Clifford words adding the
+anticommuting case.  Normalisation by ``1/(i hbar)`` or ``1/2`` follows once.
 
 Adjoints are realized by :class:`Involution`: an antilinear anti-automorphism
 determined by images of the generators ``x_mu`` and ``g_mu`` (coefficients
@@ -41,6 +51,7 @@ constructed in :mod:`~.observables`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb
@@ -75,9 +86,6 @@ def _sub_indices(beta):
 
 
 _sub_indices._cache = {}
-
-#: 1/(i*hbar), the bracket normalization.
-_INV_IH = Scalar.from_grat(GRat(0, -1)) * Scalar.hbar(-1)
 
 _HALF = Scalar.from_rational(Fraction(1, 2))
 
@@ -201,47 +209,77 @@ class NCElement:
             return NotImplemented
         return self._mul_impl(other, None)
 
-    def _mul_impl(self, other: "NCElement", amax) -> "NCElement":
-        """The operator product, as one multiply-accumulate.
+    def _mul_impl(self, other: "NCElement", amax, sym: int = 0) -> "NCElement":
+        """``ab``, ``ab - ba`` or ``ab + ba`` for ``sym`` = 0, -1 or +1, as one
+        multiply-accumulate.
 
         Every output key ``(x-exponents, word)`` owns three raw accumulators
-        for ``A + B*p0 + BB*p0^2``.  Each monomial pair adds its unreduced
-        coefficient products straight into them, scaled by the integer
-        binomial-times-Clifford-sign factor; the ``(-i*hbar)^|gamma|`` shift
-        is applied once per (left term, gamma) in the derivative memo.  Each
-        key is reduced once at the end, which is also where p0^2 is
-        rewritten and exponent overflow is caught.  With ``amax`` set, pairs
-        whose joint minimal alpha-degree exceeds it are skipped and the
-        result is truncated at alpha-degree ``amax``.
+        for ``A + B*p0 + BB*p0^2``.  A monomial pair of ``a = x^xa u fa`` and
+        ``b = x^xb v fb`` adds, with ``uv = s_ab w`` and ``vu = s_ba w``:
+
+        - the gamma = 0 term ``x^(xa+xb) w fa fb`` once, scaled by
+          ``s_ab + sym*s_ba``.  Clifford words commute or anticommute, so for
+          a bracket a commuting pair is skipped (factor 0, the terms of ``ab``
+          and ``ba`` cancel exactly) and an anticommuting pair is doubled;
+          for ``ab + ba`` the cases swap;
+        - the gamma != 0 terms of ``ab``, ``C(xb, g) x^(xa+xb-g) w D^g fa fb``
+          with ``D^g = (-i*hbar)^|g| d^g/dp^g``, from a memo of ``fa``'s
+          shifted derivatives, scaled by ``s_ab``;
+        - for ``sym != 0``, the gamma != 0 terms of ``ba`` the same way from a
+          memo of ``fb``'s shifted derivatives, scaled by ``sym*s_ba``.
+
+        Each memo is filled once per left or right term.  Each key is
+        reduced once at the end, which is also where p0^2 is rewritten and
+        exponent overflow is caught.  With ``amax`` set, pairs whose joint
+        minimal alpha-degree exceeds it are skipped and the result is
+        truncated at alpha-degree ``amax``.
         """
-        acc: dict = {}
-        wmul_tab = clifford._TABLE
+        acc = defaultdict(_new_slot)
+        table = clifford._TABLE
         truncating = amax is not None
-        rterms = [(ub, fb, fb.alpha_min_degree() if truncating else 0, _sub_indices(xb))
+        # Right terms with their gamma != 0 sub-indices and, when ``ba`` has
+        # gamma != 0 terms, a memo of their shifted derivatives.
+        rterms = [(xb, ub, fb, fb.alpha_min_degree() if truncating else 0,
+                   _sub_indices(xb)[1:], {_X0: fb} if sym and not fb.p_free else None)
                   for (xb, ub), fb in other._t.items()]
         for (xa, ua), fa in self._t.items():
             memo = {_X0: fa}
-            row = wmul_tab[ua]
-            # No p/w dependence on the left: only gamma = 0 contributes.
+            row = table[ua]
+            # No p/w dependence on the left: only gamma = 0 terms of ab.
             pfree = fa.p_free
             fa_min = fa.alpha_min_degree() if truncating else 0
             xa0, xa1, xa2, xa3 = xa
-            for ub, fb, fb_min, subs in rterms:
+            # gamma != 0 terms of ba: gamma <= xa
+            subs_ba = _sub_indices(xa)[1:] if sym else ()
+            for xb, ub, fb, fb_min, subs, memo_b in rterms:
                 if truncating and fa_min + fb_min > amax:
                     continue
-                sign, uc = row[ub]
-                # gamma <= beta, with beta - gamma and the binomial C(beta, gamma)
-                for g, (r0, r1, r2, r3), c in subs[:1] if pfree else subs:
-                    dfa = memo.get(g)
-                    if dfa is None:
-                        dfa = _shifted_derivative(memo, g)
-                    if dfa.is_zero:
-                        continue
-                    key = ((xa0 + r0, xa1 + r1, xa2 + r2, xa3 + r3), uc)
-                    slot = acc.get(key)
-                    if slot is None:
-                        slot = acc[key] = ({}, {}, {})
-                    _mul_parts(slot, dfa, fb, c * sign)
+                s_ab, uc = row[ub]
+                c_ba = sym * table[ub][ua][0] if sym else 0
+                c0 = s_ab + c_ba
+                xb0, xb1, xb2, xb3 = xb
+                if c0:
+                    key = ((xa0 + xb0, xa1 + xb1, xa2 + xb2, xa3 + xb3), uc)
+                    _mul_parts(acc[key], fa, fb, c0)
+                if not pfree:
+                    # gamma <= xb, with xb - gamma and the binomial C(xb, gamma)
+                    for g, (r0, r1, r2, r3), c in subs:
+                        dfa = memo.get(g)
+                        if dfa is None:
+                            dfa = _shifted_derivative(memo, g)
+                        if dfa.is_zero:
+                            continue
+                        key = ((xa0 + r0, xa1 + r1, xa2 + r2, xa3 + r3), uc)
+                        _mul_parts(acc[key], dfa, fb, c * s_ab)
+                if subs_ba and memo_b is not None:
+                    for g, (r0, r1, r2, r3), c in subs_ba:
+                        dfb = memo_b.get(g)
+                        if dfb is None:
+                            dfb = _shifted_derivative(memo_b, g)
+                        if dfb.is_zero:
+                            continue
+                        key = ((xb0 + r0, xb1 + r1, xb2 + r2, xb3 + r3), uc)
+                        _mul_parts(acc[key], dfb, fa, c * c_ba)
         out = {}
         for key, slot in acc.items():
             s = _finish_parts(slot)
@@ -356,6 +394,11 @@ def _coerce(x):
     return NotImplemented
 
 
+def _new_slot():
+    """Raw accumulators ``(A, B, BB)`` of one output monomial."""
+    return ({}, {}, {})
+
+
 def _shifted_derivative(memo: dict, g):
     """(-i*hbar)^|g| d^g f for f = memo[(0,0,0,0)], filling the memo on the way.
 
@@ -384,12 +427,12 @@ def _shifted_derivative(memo: dict, g):
 
 def bracket(a: NCElement, b: NCElement) -> NCElement:
     """Quantum bracket (a, b) = (a b - b a)/(i hbar)."""
-    return (a * b - b * a) * _INV_IH
+    return bracket_truncated(a, b, None)
 
 
 def dot(a: NCElement, b: NCElement) -> NCElement:
     """Symmetrised product a . b = (a b + b a)/2."""
-    return (a * b + b * a) * _HALF
+    return dot_truncated(a, b, None)
 
 
 def mul_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
@@ -403,17 +446,19 @@ def mul_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
 
 
 def bracket_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
-    """(a, b) truncated at alpha-degree n, skipping dead monomial pairs.
+    """(a, b) truncated at alpha-degree n, from one fused ``ab - ba``.
 
     With ``n=None`` it is the plain bracket :func:`bracket`."""
-    return (mul_truncated(a, b, n) - mul_truncated(b, a, n)) * _INV_IH
+    # 1/(i*hbar) = -(-i*hbar)^-1
+    raw = a._mul_impl(b, n, -1)
+    return NCElement({k: s.mih_shift(-1, -1) for k, s in raw._t.items()}, normalize=False)
 
 
 def dot_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
-    """a . b truncated at alpha-degree n, skipping dead monomial pairs.
+    """a . b truncated at alpha-degree n, from one fused ``ab + ba``.
 
     With ``n=None`` it is the plain symmetrised product :func:`dot`."""
-    return (mul_truncated(a, b, n) + mul_truncated(b, a, n)) * _HALF
+    return a._mul_impl(b, n, 1) * _HALF
 
 
 # ---------------------------------------------------------------------------

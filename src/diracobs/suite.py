@@ -130,6 +130,10 @@ def parse_manifest(text: str, order: int = DEFAULT_ORDER):
                 raise ManifestParseError(f"bad order clause {clause!r}", lineno,
                                          raw.rindex("@") + 1)
             n = int(m.group(1))
+            if n > exprcli.MAX_ORDER:
+                raise ManifestParseError(
+                    f"order {n} is above the limit {exprcli.MAX_ORDER}", lineno,
+                    raw.rindex("@") + 1)
         lhs, rhs = lhs.strip(), rhs.strip()
         if not lhs or not rhs:
             raise ManifestParseError("empty expression", lineno)

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,9 @@ class TestParser:
         with pytest.raises(ParseError) as e:
             parse("pow(M, 1/2)")
         assert "natural number" in str(e.value)
+        assert "exponent must be" in str(e.value)
+        with pytest.raises(ParseError, match="order must be a nonnegative integer"):
+            parse("conj(M; order=1/2)")
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):
@@ -256,6 +261,69 @@ class TestCLI:
     def test_order_zero_accepted(self, capsys):
         assert main(["eval", "M", "--order", "0"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_power_budget(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["eval", "pow(Xh[0],40)"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().err.startswith(
+            f"error: 1:11: exponent 40 is above the limit {exprcli.MAX_POWER}")
+        over = exprcli.MAX_POWER + 1
+        for text in (f"Xh[0]^{over}", f"(M*M)^{over}", f"-M^{over}", f"pow(gamma[0], {over})",
+                     f"hbar^{exprcli.MAX_MONOMIAL_POWER + 1}", "pow(i, 100000)"):
+            with pytest.raises(ParseError, match="is above the limit"):
+                parse(text)
+        # within budget: operator powers up to MAX_POWER, literal monomials further
+        assert eval_text(f"pow(Xh[0], {exprcli.MAX_POWER})").x_degree() == exprcli.MAX_POWER
+        assert eval_text("(-2)^40") == NCElement.from_scalar(Scalar.from_rational(2 ** 40))
+        assert eval_text("i^20000") == NCElement.one()
+
+    def test_power_reproducer_exits_fast(self):
+        env = dict(os.environ)
+        env.pop(exprcli.ENV_ORDER, None)
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "diracobs", "eval", "pow(Xh[0],40)"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - t0 < 1
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and done.stdout == ""
+
+    def test_order_budget(self, monkeypatch, capsys):
+        over = str(exprcli.MAX_ORDER + 1)
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "M", "--order", over])
+        assert exit_.value.code == 2
+        assert (f"error: argument --order: must be at most {exprcli.MAX_ORDER}, got '{over}'"
+                in capsys.readouterr().err)
+        assert main(["eval", f"conj(M; order={over})"]) == 2
+        assert f"order {over} is above the limit" in capsys.readouterr().err
+        monkeypatch.setenv(exprcli.ENV_ORDER, over)
+        assert main(["eval", "M"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: DIRACOBS_ORDER must be at most {exprcli.MAX_ORDER}")
+        monkeypatch.setenv(exprcli.ENV_ORDER, str(exprcli.MAX_ORDER))
+        args = exprcli._build_argparser().parse_args(["check"])
+        assert args.order == exprcli.MAX_ORDER
+
+    def test_manifest_far_below_the_budgets(self):
+        from diracobs.suite import load_default_manifest, parse_manifest
+
+        def exponents(node):
+            if isinstance(node, Pow):
+                yield node.n
+            for f in fields(node):
+                value = getattr(node, f.name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if isinstance(v, tuple):  # a (sign, term) of a Sum
+                        v = v[1]
+                    if isinstance(v, exprcli.Node):
+                        yield from exponents(v)
+
+        top = max(n for e in parse_manifest(load_default_manifest())
+                  for side in (e.lhs, e.rhs) for n in exponents(parse(side)))
+        assert top == 2 and 4 * top <= exprcli.MAX_POWER
+        # the manifest is run up to order 6
+        assert 6 < exprcli.MAX_ORDER
 
     def test_deep_nesting_is_a_parse_error(self, capsys):
         with pytest.raises(ParseError, match="nested deeper"):

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
+from diracobs.exprcli import MAX_ORDER
 from diracobs.suite import (IdentityEntry, ManifestParseError, golden_snapshot,
                             load_default_manifest, negative_controls, parse_manifest,
                             report_json, report_markdown, run_suite)
@@ -39,6 +41,12 @@ class TestManifestFormat:
         assert [e.order for e in parse_manifest(text, 5)] == [5, 2, None]
         with pytest.raises(ValueError, match="nonnegative"):
             parse_manifest(text, -1)
+
+    def test_order_clause_budget(self):
+        assert parse_manifest(f"a := M == M @ order {MAX_ORDER}\n")[0].order == MAX_ORDER
+        with pytest.raises(ManifestParseError, match="above the limit") as err:
+            parse_manifest(f"# big\na := conj(Xh[1]) == 0 @ order {MAX_ORDER + 1}\n")
+        assert err.value.line == 2
 
     def test_binding_resolved_into_rhs(self):
         (e,) = parse_manifest("s2.w := W2*Minv2 == c + 0*c @ exact; c = -3/4*hbar^2"
@@ -137,6 +145,15 @@ class TestRunner:
         (control,) = negative_controls([entry])
         assert control.rhs == "1"
         assert run_suite([control])["entries"][0]["status"] == "fail"
+
+    def test_whole_manifest_at_order_4(self):
+        t0 = time.perf_counter()
+        report = run_suite(parse_manifest(load_default_manifest(), 4), 4)
+        elapsed = time.perf_counter() - t0
+        assert report["totals"] == {"pass": 644, "fail": 0, "error": 0,
+                                    "ms": report["totals"]["ms"]}
+        # ~3.5 s on 2 cores; the bound leaves room for a loaded machine.
+        assert elapsed < 60, f"manifest at order 4 took {elapsed:.1f}s"
 
     def test_negative_controls_all_fail(self):
         entries = parse_manifest(load_default_manifest())
