@@ -10,11 +10,12 @@ from fractions import Fraction
 
 from diracobs import NCElement, Scalar, bracket
 from diracobs import observables as obs
+from diracobs.conventions import eta
 
 print("Spin vector (transverse to momentum):")
 pw = NCElement.zero()
 for m in range(4):
-    pw = pw + obs.P(m) * obs.W(m) * obs._eta(m)
+    pw = pw + obs.P(m) * obs.W(m) * eta(m)
 print("P_mu W^mu =", pw.render())
 print()
 

@@ -22,10 +22,7 @@ Layers, bottom up:
 
 from .conventions import DEFAULT_ORDER
 from .exprcli import EvalConfig, EvalError, ParseError, eval_text, parse, render_expr
-from .frames import (FrameShift, canonical_invariance, check_hermitian_forms,
-                     check_momentum_law, check_position_law, check_tetrad_law,
-                     conformal_factor, conformal_factor_inv, conjugate,
-                     conjugate_inverse, metric_check, reciprocity_check, vierbein)
+from .frames import conformal_factor, conformal_factor_inv, conjugate, vierbein
 from .ncalg import (Involution, NCElement, NotUnitalSeries, PolyForm, bracket,
                     dot, geometric_inverse, poly_eval_left, poly_eval_sym)
 from .observables import UnknownObservable, adjoint, build, catalog_names
@@ -36,15 +33,11 @@ from .suite import (IdentityEntry, ManifestParseError, golden_snapshot,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ORDER", "EvalConfig", "EvalError", "FrameShift", "GRat",
-    "IdentityEntry", "Involution", "ManifestParseError", "NCElement",
-    "NonInvertibleCoefficient", "NotUnitalSeries", "ParseError", "PolyForm",
-    "Scalar", "UnknownObservable", "adjoint", "bracket", "build",
-    "canonical_invariance", "catalog_names", "check_hermitian_forms",
-    "check_momentum_law", "check_position_law", "check_tetrad_law",
-    "conformal_factor", "conformal_factor_inv", "conjugate",
-    "conjugate_inverse", "dot", "eval_text", "geometric_inverse",
-    "golden_snapshot", "load_default_manifest", "metric_check", "parse",
-    "parse_manifest", "poly_eval_left", "poly_eval_sym", "reciprocity_check",
-    "render_expr", "run_suite", "vierbein",
+    "DEFAULT_ORDER", "EvalConfig", "EvalError", "GRat", "IdentityEntry",
+    "Involution", "ManifestParseError", "NCElement", "NonInvertibleCoefficient",
+    "NotUnitalSeries", "ParseError", "PolyForm", "Scalar", "UnknownObservable",
+    "adjoint", "bracket", "build", "catalog_names", "conformal_factor",
+    "conformal_factor_inv", "conjugate", "dot", "eval_text", "geometric_inverse",
+    "golden_snapshot", "load_default_manifest", "parse", "parse_manifest",
+    "poly_eval_left", "poly_eval_sym", "render_expr", "run_suite", "vierbein",
 ]

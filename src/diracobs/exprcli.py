@@ -493,43 +493,33 @@ class EvalConfig:
     alpha_max: int | None = None
 
 
-def _frame_builtin(name: str, idx: tuple, order: int):
-    if name == "laminv":
-        return frames.conformal_factor_inv()
-    if name == "lam":
-        return frames.conformal_factor(order)
-    if name == "vb":
-        return frames.vierbein(*idx)
-    if name == "vbraw":
-        return frames.vierbein_raw(idx[0], idx[1], order)
-    if name == "dvb":
-        r, m, n = idx
-        return frames.xderiv_up(frames.vierbein(m, n), r)
-    if name == "dxbar":
-        m, r = idx
-        return frames.xderiv(frames.xbar_up(r, order), m)
-    if name == "Evb":
-        return frames.E(*idx)
-    if name == "EvbL":
-        return frames.E_left(*idx)
-    if name == "dEvb":
-        r, m, n = idx
-        de = frames.xderiv_up(frames.vierbein(m, n), r)
-        return poly_eval_sym(PolyForm.from_element(de), frames._X_args())
-    if name == "ddvbP":
-        return frames.ddE_P(idx[0])
-    return None
+def _dEvb(order, r, m, n):
+    de = frames.xderiv_up(frames.vierbein(m, n), r)
+    return poly_eval_sym(PolyForm.from_element(de), frames._X_args())
 
 
-_FRAME_ARITY = {"laminv": 0, "lam": 0, "vb": 2, "vbraw": 2, "dvb": 3,
-                "dxbar": 2, "Evb": 2, "EvbL": 2, "dEvb": 3, "ddvbP": 1}
+#: Frame quantities: name -> (number of indices, build(order, *indices)).
+#: Each build looks its ``frames`` function up when called, so a rebound
+#: ``frames`` attribute (as in ``bench/tracing.py``) is the one that runs.
+_FRAME_QUANTITIES = {
+    "laminv": (0, lambda order: frames.conformal_factor_inv()),
+    "lam": (0, lambda order: frames.conformal_factor(order)),
+    "vb": (2, lambda order, m, n: frames.vierbein(m, n)),
+    "vbraw": (2, lambda order, m, n: frames.vierbein_raw(m, n, order)),
+    "dvb": (3, lambda order, r, m, n: frames.xderiv_up(frames.vierbein(m, n), r)),
+    "dxbar": (2, lambda order, m, r: frames.xderiv(frames.xbar_up(r, order), m)),
+    "Evb": (2, lambda order, m, n: frames.E(m, n)),
+    "EvbL": (2, lambda order, m, n: frames.E_left(m, n)),
+    "dEvb": (3, _dEvb),
+    "ddvbP": (1, lambda order, m: frames.ddE_P(m)),
+}
 
 
 def is_defined_name(name: str) -> bool:
     """Whether ``name`` already means something in an expression: a keyword,
     a function, a frame quantity or a catalog observable."""
     return (name in ("i", "hbar", "alpha", "order") or name in _FUNCS
-            or name in _FRAME_ARITY or name in obs.catalog_names())
+            or name in _FRAME_QUANTITIES or name in obs.catalog_names())
 
 
 def evaluate(node: Node, config: EvalConfig | None = None) -> NCElement:
@@ -549,10 +539,11 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         return NCElement.from_scalar(Scalar.alpha(node.mu))
     if isinstance(node, Ref):
         name, idx = node.name, node.indices
-        if name in _FRAME_ARITY:
-            if len(idx) != _FRAME_ARITY[name]:
-                raise EvalError(f"{name} takes {_FRAME_ARITY[name]} index(es)", node.span)
-            return _frame_builtin(name, idx, cfg.order)
+        if name in _FRAME_QUANTITIES:
+            arity, build = _FRAME_QUANTITIES[name]
+            if len(idx) != arity:
+                raise EvalError(f"{name} takes {arity} index(es)", node.span)
+            return build(cfg.order, *idx)
         try:
             return obs.build(name, *idx)
         except UnknownObservable as e:
@@ -586,7 +577,7 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         order = node.order if node.order is not None else cfg.order
         sign = -1 if node.inverse else 1
         a = node.a
-        if isinstance(a, Ref) and a.name not in _FRAME_ARITY:
+        if isinstance(a, Ref) and a.name not in _FRAME_QUANTITIES:
             # cached path shared across suite entries
             try:
                 return frames.conjugate_named(a.name, a.indices, order, sign)

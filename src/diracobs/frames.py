@@ -10,25 +10,23 @@ generator raises the alpha-degree by exactly one, so dropping monomials
 above ``N`` after every step is exact for the retained orders.
 
 Closed-form targets, each stated once as a family of the shipped manifest
-(``manifest.txt``, written at the run's order) and run by the checker named
-in brackets:
+(``manifest.txt``, written at the run's order) and decided by the suite
+runner (:func:`diracobs.suite.run_suite`, filtered on the family prefix):
 
 * conformal factor: ``1/lam = 1 - 2 a^mu x_mu + a^2 x^2`` (exact quadratic)
   and ``lam`` as its geometric series (``s5.traM``);
-* positions: ``x_bar^mu = lam (x^mu - x^2 a^mu)`` (``s5.traKsi``,
-  :func:`check_position_law`);
+* positions: ``x_bar^mu = lam (x^mu - x^2 a^mu)`` (``s5.traKsi``);
 * metric: ``d_mu x_bar^rho eta_rs d_nu x_bar^s = lam^2 eta_{mu nu}``
-  (``s5.traG``, :func:`metric_check`);
+  (``s5.traG``);
 * tetrad: ``g_bar_mu = lam e_mu^nu g_nu`` with the vierbein
   ``e_mu^nu = (1/lam)^2 d^nu x_bar_mu`` (exactly alpha-quadratic)
-  (``s5.traE``, :func:`check_tetrad_law`);
+  (``s5.traE``);
 * momenta: ``P_bar_mu = e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho}``
-  (``s5.traP.law``, :func:`check_momentum_law`);
-* reciprocity and canonical invariance (``s5.recip``,
-  :func:`reciprocity_check`; ``s5.inv``, :func:`canonical_invariance`);
+  (``s5.traP.law``);
+* reciprocity and canonical invariance (``s5.recip``, ``s5.inv``);
 * hermitian-variable forms with their exact hbar^2 corrections
   (coefficients 3 hbar^2 / 4 and 3 hbar^2 / 32, bound by name in the
-  entries that state them) (``s5.traPXS``, :func:`check_hermitian_forms`).
+  entries that state them) (``s5.traPXS``).
 
 This module builds the series and the closed-form pieces the manifest
 refers to (``lam``, ``vb``, ``Evb``, ...); the laws and their coefficients
@@ -42,12 +40,11 @@ free of ``p`` and ``w``.  Anything else raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import observables as obs
-from .conventions import DEFAULT_ORDER, SIGMA, SIGNATURE
+from .conventions import SIGMA, eta
 from .ncalg import (NCElement, PolyForm, bracket_truncated, geometric_inverse,
                     mul_truncated, poly_eval_left, poly_eval_sym)
 from .scalars import Scalar
@@ -55,38 +52,6 @@ from .scalars import Scalar
 
 class NotInCommutativeSubalgebra(ValueError):
     """Position calculus was applied outside the commuting x-subalgebra."""
-
-
-def _eta(mu: int) -> Fraction:
-    return SIGNATURE[mu]
-
-
-@dataclass
-class FrameShift:
-    """Outcome of one frame-law check."""
-
-    name: str
-    order: object  # int or "exact"
-    residuals: tuple = ()
-    passed: bool = False
-    coefficients: dict = field(default_factory=dict)
-
-    @property
-    def residual(self) -> NCElement:
-        for r in self.residuals:
-            if not r.is_zero:
-                return r
-        return NCElement.zero()
-
-    def to_report_entry(self) -> dict:
-        """Identity-report shape shared with the suite runner."""
-        entry = {"name": self.name,
-                 "order": self.order,
-                 "status": "pass" if self.passed else "fail",
-                 "residual": "" if self.passed else self.residual.render()}
-        if self.coefficients:
-            entry["coefficients"] = dict(self.coefficients)
-        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +84,6 @@ def conjugate(el: NCElement, order: int, sign: int = 1) -> NCElement:
             break
         acc = acc + term
     return acc
-
-
-def conjugate_inverse(el: NCElement, order: int) -> NCElement:
-    """Conjugation with the parameters negated (alpha -> -alpha)."""
-    return conjugate(el, order, sign=-1)
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +119,7 @@ def xbar(mu: int, order: int) -> NCElement:
 
 @lru_cache(maxsize=None)
 def xbar_up(mu: int, order: int) -> NCElement:
-    return xbar(mu, order) * _eta(mu)
+    return xbar(mu, order) * eta(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +142,7 @@ def xderiv(el: NCElement, rho: int) -> NCElement:
     distinct monomials, so the terms never collide and go into one dict.
     """
     _require_x_subalgebra(el)
-    eta_r = _eta(rho)
+    eta_r = eta(rho)
     out = {}
     for (xk, _w), s in el._t.items():
         e = xk[rho]
@@ -196,7 +156,7 @@ def xderiv(el: NCElement, rho: int) -> NCElement:
 
 def xderiv_up(el: NCElement, rho: int) -> NCElement:
     """d^rho = eta^{rho rho} d/dx^rho."""
-    return xderiv(el, rho) * _eta(rho)
+    return xderiv(el, rho) * eta(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -226,69 +186,6 @@ def vierbein(mu: int, nu: int) -> NCElement:
     part) is itself one of the suite checks.
     """
     return vierbein_raw(mu, nu, 3).alpha_truncate(2)
-
-
-# ---------------------------------------------------------------------------
-# Frame-law checks: each runs its family of the default manifest
-# ---------------------------------------------------------------------------
-
-def _manifest_law(name: str, family: str, order, entries=None) -> FrameShift:
-    """Run the shipped-manifest family ``family`` (an entry-name prefix).
-
-    The manifest is parsed at ``order`` (at the default order for ``"exact"``
-    families) and every entry's residual is computed exactly as the suite
-    runner computes it; the coefficients bound by the passing entries are
-    collected.  ``entries`` replaces the family's entries, e.g. with their
-    negative controls.
-    """
-    from . import suite  # suite imports frames
-    n = DEFAULT_ORDER if order == "exact" else order
-    if entries is None:
-        entries = [e for e in suite.parse_manifest(suite.load_default_manifest(), n)
-                   if e.name.startswith(family + ".")]
-    if not entries:
-        raise ValueError(f"no manifest entries in family {family!r}")
-    residuals = tuple(suite._residual(e, n) for e in entries)
-    coefficients = {}
-    for e, r in zip(entries, residuals):
-        if r.is_zero:
-            coefficients.update(suite._coefficients(e, n))
-    return FrameShift(name, order, residuals, all(r.is_zero for r in residuals),
-                      coefficients)
-
-
-def check_position_law(order: int) -> FrameShift:
-    """(1/lam) x_bar^mu == x^mu - x^2 a^mu up to the given order."""
-    if order < 1:
-        raise ValueError("position law needs order >= 1")
-    return _manifest_law("position-law", "s5.traKsi", order)
-
-
-def metric_check(order: int) -> FrameShift:
-    """d_mu x_bar^rho eta_rs d_nu x_bar^s == lam^2 eta_{mu nu} up to order."""
-    return _manifest_law("metric", "s5.traG", order)
-
-
-def check_tetrad_law(order: int) -> FrameShift:
-    """g_bar_mu == lam e_mu^nu g_nu, Clifford preservation and vierbein termination."""
-    return _manifest_law("tetrad", "s5.traE", order)
-
-
-def check_momentum_law(order: int) -> FrameShift:
-    """P_bar_mu == e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho} up to order."""
-    return _manifest_law("momentum", "s5.traP.law", order)
-
-
-def reciprocity_check(order: int) -> FrameShift:
-    """Conjugating with alpha then -alpha returns the observable up to order."""
-    if order < 1:
-        raise ValueError("reciprocity needs order >= 1")
-    return _manifest_law("reciprocity", "s5.recip", order)
-
-
-def canonical_invariance(order: int) -> FrameShift:
-    """(P_bar_mu, x_bar_nu) == -eta_{mu nu} up to order."""
-    return _manifest_law("canonical-invariance", "s5.inv", order)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +228,13 @@ def ddE_P(mu: int) -> NCElement:
     return out
 
 
-def check_hermitian_forms() -> FrameShift:
-    """Exact hermitian-variable mass and momentum laws and E-ordering immateriality.
+def check_hermitian_forms() -> dict:
+    """The suite report of the ``s5.traPXS`` family at the default order.
 
-    The hbar^2 corrections are the coefficients the family's manifest
-    entries bind: ``mass_alpha2_correction`` (of ``alpha^2 M / P^2`` in the
-    mass law) and ``momentum_dd_correction`` (of ``ddE_P(0) / P^2`` in the
-    momentum law)."""
-    return _manifest_law("hermitian-forms", "s5.traPXS", "exact")
+    Its entries bind the exact hbar^2 corrections as coefficients:
+    ``mass_alpha2_correction`` (of ``alpha^2 M / P^2`` in the mass law) and
+    ``momentum_dd_correction`` (of ``ddE_P(0) / P^2`` in the momentum law).
+    Kept by name because the benchmark tracer times it."""
+    from . import suite  # suite imports frames
+    entries = suite.parse_manifest(suite.load_default_manifest())
+    return suite.run_suite(entries, name_filter="s5.traPXS.")

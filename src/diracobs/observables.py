@@ -41,17 +41,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import epsilon_lower, nonzero_epsilon
-from .conventions import SIGNATURE
+from .conventions import eta
 from .ncalg import Involution, NCElement, bracket, dot
 from .scalars import Scalar
 
 
 class UnknownObservable(KeyError):
     """An observable name (or arity) that the catalog does not define."""
-
-
-def _eta(mu: int) -> Fraction:
-    return SIGNATURE[mu]
 
 
 # -- primitives -------------------------------------------------------------
@@ -147,7 +143,7 @@ def x2() -> NCElement:
     """Position square x^mu x_mu."""
     out = NCElement.zero()
     for mu in range(4):
-        out = out + x(mu) * x(mu) * _eta(mu)
+        out = out + x(mu) * x(mu) * eta(mu)
     return out
 
 
@@ -156,7 +152,7 @@ def C(mu: int) -> NCElement:
     """Conformal acceleration generator C_m = 2 D.x_m - P_m.x^2 + 2 x^r.s_rm."""
     out = dot(D(), x(mu)) * 2 - dot(P(mu), x2())
     for rho in range(4):
-        out = out + dot(x(rho), s_spin(rho, mu)) * (2 * _eta(rho))
+        out = out + dot(x(rho), s_spin(rho, mu)) * (2 * eta(rho))
     return out
 
 
@@ -167,7 +163,7 @@ def W(mu: int) -> NCElement:
     for (m, n, r, s), sign in nonzero_epsilon():
         if m != mu:
             continue
-        coef = Fraction(sign, -2) * _eta(n) * _eta(r)
+        coef = Fraction(sign, -2) * eta(n) * eta(r)
         out = out + J(n, r) * P_up(s) * coef
     return out
 
@@ -180,7 +176,7 @@ def S(mu: int, nu: int) -> NCElement:
         for s in range(4):
             sign = epsilon_lower(mu, nu, r, s)
             if sign:
-                out = out + W(r) * P_up(s) * (Fraction(sign) * _eta(r))
+                out = out + W(r) * P_up(s) * (Fraction(sign) * eta(r))
     return out * Scalar.w_pow(-2)
 
 
@@ -198,7 +194,7 @@ def S_dual(mu: int, nu: int) -> NCElement:
         for s in range(4):
             sign = epsilon_lower(mu, nu, r, s)
             if sign:
-                out = out + S(r, s) * (Fraction(sign) * _eta(r) * _eta(s))
+                out = out + S(r, s) * (Fraction(sign) * eta(r) * eta(s))
     return out * (Scalar.imag_unit() * Fraction(1, 2))
 
 
@@ -210,7 +206,7 @@ def s_dual(mu: int, nu: int) -> NCElement:
         for s in range(4):
             sign = epsilon_lower(mu, nu, r, s)
             if sign:
-                out = out + s_spin(r, s) * (Fraction(sign) * _eta(r) * _eta(s))
+                out = out + s_spin(r, s) * (Fraction(sign) * eta(r) * eta(s))
     return out * (Scalar.imag_unit() * Fraction(1, 2))
 
 
@@ -234,7 +230,7 @@ def X2() -> NCElement:
     """Hermitian position square X^mu . X_mu."""
     out = NCElement.zero()
     for mu in range(4):
-        out = out + dot(X(mu), X(mu)) * _eta(mu)
+        out = out + dot(X(mu), X(mu)) * eta(mu)
     return out
 
 
@@ -243,7 +239,7 @@ def W2() -> NCElement:
     """Spin square W^mu W_mu."""
     out = NCElement.zero()
     for mu in range(4):
-        out = out + W(mu) * W(mu) * _eta(mu)
+        out = out + W(mu) * W(mu) * eta(mu)
     return out
 
 
@@ -252,7 +248,7 @@ def alpha2() -> NCElement:
     """Acceleration square a^mu a_mu."""
     out = Scalar.zero()
     for mu in range(4):
-        out = out + Scalar.alpha(mu) * Scalar.alpha(mu) * _eta(mu)
+        out = out + Scalar.alpha(mu) * Scalar.alpha(mu) * eta(mu)
     return NCElement.from_scalar(out)
 
 
@@ -262,7 +258,7 @@ def upper(builder, *indices):
     """Raise every index of a lowered-index builder output (diagonal metric)."""
     sign = Fraction(1)
     for mu in indices:
-        sign *= _eta(mu)
+        sign *= eta(mu)
     return builder(*indices) * sign
 
 
@@ -311,13 +307,6 @@ def build(name: str, *indices: int) -> NCElement:
 
 def catalog_names():
     return sorted(_CATALOG)
-
-
-def catalog_arity(name: str) -> int:
-    try:
-        return _CATALOG[name][1]
-    except KeyError:
-        raise UnknownObservable(name) from None
 
 
 # -- adjoint ----------------------------------------------------------------

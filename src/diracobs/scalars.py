@@ -716,28 +716,11 @@ class Scalar:
         return items
 
     def render(self, reverse: bool = False) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [_mono_str(k, w, c) for k, w, c in self.display_monomials(reverse)]
-        out = parts[0]
-        for s in parts[1:]:
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return _signed_join(_mono_str(k, w, c)
+                            for k, w, c in self.display_monomials(reverse))
 
     def latex(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = [_mono_latex(k, w, c) for k, w, c in self.display_monomials()]
-        out = parts[0]
-        for s in parts[1:]:
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out
+        return _signed_join(_mono_latex(k, w, c) for k, w, c in self.display_monomials())
 
     def __str__(self) -> str:
         return self.render()
@@ -756,25 +739,34 @@ def _coerce(x):
     return NotImplemented
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
+def _signed_join(parts) -> str:
+    """Rendered monomials joined by `` + `` and `` - ``; ``0`` for none."""
+    out = "0"
+    for n, s in enumerate(parts):
+        if not n:
+            out = s
+        elif s.startswith("-"):
+            out += " - " + s[1:]
+        else:
+            out += " + " + s
+    return out
 
 
-def _coeff_str(c: GRat):
-    """Return (text, needs_sep) for a Gaussian rational coefficient."""
+def _coeff_str(c: GRat) -> str:
+    """A Gaussian rational coefficient as plain text."""
     if not c.im:
-        return _frac_str(c.re), True
+        return str(c.re)
     if not c.re:
         if c.im == 1:
-            return "i", True
+            return "i"
         if c.im == -1:
-            return "-i", True
-        return f"{_frac_str(c.im)}*i", True
+            return "-i"
+        return f"{c.im}*i"
     im = c.im
     sign = "+" if im > 0 else "-"
     im_abs = abs(im)
-    im_part = "i" if im_abs == 1 else f"{_frac_str(im_abs)}*i"
-    return f"({_frac_str(c.re)} {sign} {im_part})", True
+    im_part = "i" if im_abs == 1 else f"{im_abs}*i"
+    return f"({c.re} {sign} {im_part})"
 
 
 def _mono_str(k, wexp: int, c: GRat) -> str:
@@ -792,7 +784,7 @@ def _mono_str(k, wexp: int, c: GRat) -> str:
             factors.append(f"a{j}" if e == 1 else f"a{j}^{e}")
     if wexp:
         factors.append("w" if wexp == 1 else f"w^{wexp}")
-    cs, _ = _coeff_str(c)
+    cs = _coeff_str(c)
     if not factors:
         return cs
     body = "*".join(factors)

@@ -166,10 +166,12 @@ def test_criterion_6_frame_laws(manifest_entries):
 
 
 def test_criterion_7_hermitian_coefficients():
-    result = F.check_hermitian_forms()
-    assert result.passed
-    assert result.coefficients["mass_alpha2_correction"] == "3/4*hbar^2"
-    assert result.coefficients["momentum_dd_correction"] == "3/32*hbar^2"
+    report = F.check_hermitian_forms()
+    assert report["entries"] and report["totals"]["pass"] == len(report["entries"])
+    coefficients = {k: v for e in report["entries"]
+                    for k, v in e.get("coefficients", {}).items()}
+    assert coefficients["mass_alpha2_correction"] == "3/4*hbar^2"
+    assert coefficients["momentum_dd_correction"] == "3/32*hbar^2"
     for m in range(4):
         for n in range(4):
             assert F.E(m, n) == F.E_left(m, n)

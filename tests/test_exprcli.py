@@ -183,6 +183,37 @@ class TestEvaluation:
         assert eval_text("laminv") == frames.conformal_factor_inv()
         assert eval_text("vb[0,0]", EvalConfig(order=3)) == frames.vierbein(0, 0)
 
+    @pytest.mark.parametrize("name, arity", [
+        ("laminv", 0), ("lam", 0), ("vb", 2), ("vbraw", 2), ("dvb", 3),
+        ("dxbar", 2), ("Evb", 2), ("EvbL", 2), ("dEvb", 3), ("ddvbP", 1)])
+    def test_frame_quantity_arity(self, name, arity):
+        assert exprcli.is_defined_name(name)
+        idx = ",".join("1" * arity)
+        ref = f"{name}[{idx}]" if arity else name
+        cfg = EvalConfig(order=2)
+        value = eval_text(ref, cfg)
+        assert not value.is_zero
+        wrong = f"{name}[{idx},0]" if arity else f"{name}[0]"
+        with pytest.raises(EvalError, match=f"{name} takes {arity} index"):
+            eval_text(wrong)
+        # a frame quantity is not a catalog observable: conj shifts its value
+        from diracobs import frames
+        assert eval_text(f"conj({ref}; order=1)", cfg) == frames.conjugate(value, 1)
+
+    def test_frame_quantities_call_the_bound_frames_function(self, monkeypatch):
+        from diracobs import frames
+        calls = []
+        vierbein = frames.vierbein
+
+        def counted(m, n):
+            calls.append((m, n))
+            return vierbein(m, n)
+
+        monkeypatch.setattr(frames, "vierbein", counted)
+        assert eval_text("vb[1,2] + dvb[0,1,3]") == vierbein(1, 2) + frames.xderiv_up(
+            vierbein(1, 3), 0)
+        assert calls == [(1, 2), (1, 3)]
+
     def test_alpha_max_matches_plain(self):
         plain = eval_text("conj(M; order=2)*conj(M; order=2)").alpha_truncate(2)
         fast = eval_text("conj(M; order=2)*conj(M; order=2)",
@@ -373,6 +404,22 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: ")
         depth = exprcli.MAX_DEPTH
         assert parse("(" * depth + "M" + ")" * depth) == parse("M")
+
+    def test_runs_under_the_bench_tracer(self):
+        # bench/tracing.py rebinds package functions by name; a rename or a
+        # removal there breaks the traced benchmark, not the plain CLI
+        bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "bench")
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from tracing import Tracer\n"
+                "Tracer().install()\n"
+                "from diracobs.exprcli import main\n"
+                "rc = main(['check', '--filter', 's5.traPXS'])\n"
+                "sys.exit(rc or main(['eval', 'dEvb[0,1,2] + conj(vb[0,1]; order=2)']))\n")
+        done = subprocess.run([sys.executable, "-c", code, bench],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        assert "0 fail, 0 error" in done.stdout
 
     def test_python_m_diracobs(self):
         env = dict(os.environ)

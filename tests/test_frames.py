@@ -15,6 +15,27 @@ one = NCElement.one()
 ZERO_ALPHA = [0, 0, 0, 0]
 
 
+def _family(family: str, order: int) -> list:
+    """The entries of one family of the shipped manifest, parsed at ``order``."""
+    return [e for e in suite.parse_manifest(suite.load_default_manifest(), order)
+            if e.name.startswith(family + ".")]
+
+
+def _statuses(report) -> list:
+    return [e["status"] for e in report["entries"]]
+
+
+def _coefficients(report) -> dict:
+    return {k: v for e in report["entries"] for k, v in e.get("coefficients", {}).items()}
+
+
+def _family_passes(family: str, order: int) -> bool:
+    """Whether the runner of ``diracobs check`` passes the whole family."""
+    entries = _family(family, order)
+    report = suite.run_suite(entries, order=order)
+    return bool(entries) and _statuses(report) == ["pass"] * len(entries)
+
+
 class TestConjugationEngine:
     def test_order_zero_identity(self):
         for el in (obs.M(), obs.x(1), obs.C(2)):
@@ -51,7 +72,7 @@ class TestConjugationEngine:
     def test_inverse_is_alpha_negation(self):
         el = obs.x(2)
         direct = F.conjugate(el, 2).subst_alpha([1, 0, Fraction(1, 2), 0])
-        flipped = F.conjugate_inverse(el, 2).subst_alpha([-1, 0, Fraction(-1, 2), 0])
+        flipped = F.conjugate(el, 2, -1).subst_alpha([-1, 0, Fraction(-1, 2), 0])
         assert direct == flipped
 
 
@@ -76,7 +97,7 @@ class TestConformalFactor:
 class TestPositionLaw:
     @pytest.mark.parametrize("n", [1, 3])
     def test_passes(self, n):
-        assert F.check_position_law(n).passed
+        assert _family_passes("s5.traKsi", n)
 
     def test_zero_acceleration(self):
         for mu in range(4):
@@ -105,10 +126,10 @@ class TestVierbein:
                 assert raw == F.vierbein(m, n)
 
     def test_metric_law(self):
-        assert F.metric_check(3).passed
+        assert _family_passes("s5.traG", 3)
 
     def test_tetrad_law(self):
-        assert F.check_tetrad_law(3).passed
+        assert _family_passes("s5.traE", 3)
 
     def test_derivative_guard(self):
         with pytest.raises(NotInCommutativeSubalgebra):
@@ -169,7 +190,7 @@ class TestPositionCalculus:
 
 class TestMomentumLaw:
     def test_passes_with_spin_term(self):
-        assert F.check_momentum_law(3).passed
+        assert _family_passes("s5.traP.law", 3)
         # the connection term is genuinely present at linear order
         for mu in (0, 1):
             lhs = F.conjugate_named("P", (mu,), 1)
@@ -193,31 +214,28 @@ class TestMomentumLaw:
                                         if bin(k[1]).count("1") == 2})
 
 
-@pytest.fixture(scope="module")
-def hermitian_result():
-    return F.check_hermitian_forms()
-
-
 class TestHermitianForms:
-    @pytest.fixture
-    def result(self, hermitian_result):
-        return hermitian_result
+    """``check_hermitian_forms`` is the suite report of ``s5.traPXS``."""
 
-    def test_exact(self, result):
-        assert result.passed
-        assert result.order == "exact"
+    def test_exact(self):
+        report = F.check_hermitian_forms()
+        assert report["entries"] and set(_statuses(report)) == {"pass"}
+        assert {e["order"] for e in report["entries"]} == {"exact"}
 
-    def test_coefficients(self, result):
-        assert result.coefficients["mass_alpha2_correction"] == "3/4*hbar^2"
-        assert result.coefficients["momentum_dd_correction"] == "3/32*hbar^2"
-        assert F.check_hermitian_forms().coefficients == result.coefficients
+    def test_coefficients(self):
+        assert _coefficients(F.check_hermitian_forms()) == {
+            "mass_alpha2_correction": "3/4*hbar^2",
+            "momentum_dd_correction": "3/32*hbar^2"}
 
-    def test_report_entry_shape(self, result):
-        entry = result.to_report_entry()
-        assert entry["status"] == "pass" and entry["residual"] == ""
-        assert entry["order"] == "exact"
-        assert set(entry["coefficients"]) == {"mass_alpha2_correction",
-                                              "momentum_dd_correction"}
+    def test_report_entry_shape(self):
+        report = F.check_hermitian_forms()
+        assert report["suite"] == "filtered:s5.traPXS."
+        assert report["config"] == {"order": DEFAULT_ORDER}
+        assert {e["residual"] for e in report["entries"]} == {""}
+        bound = {e["name"]: set(e["coefficients"])
+                 for e in report["entries"] if "coefficients" in e}
+        assert bound == {"s5.traPXS.mass": {"mass_alpha2_correction"},
+                         "s5.traPXS.mom.0": {"momentum_dd_correction"}}
 
     def test_zero_acceleration_limits(self):
         assert F.conjugate_named("M", (), 2).subst_alpha(ZERO_ALPHA) == obs.M()
@@ -240,14 +258,14 @@ class TestHermitianForms:
 
 class TestGroupStructure:
     def test_reciprocity(self):
-        assert F.reciprocity_check(3).passed
+        assert _family_passes("s5.recip", 3)
 
     def test_reciprocity_exact_for_mass(self):
-        back = F.conjugate_inverse(F.conjugate_named("M", (), 2), 2)
+        back = F.conjugate(F.conjugate_named("M", (), 2), 2, -1)
         assert back == obs.M()
 
     def test_canonical_invariance(self):
-        assert F.canonical_invariance(3).passed
+        assert _family_passes("s5.inv", 3)
 
     def test_bracket_with_classical_number_invariant(self):
         # eta is a classical number: the shifted pair reproduces it exactly
@@ -257,46 +275,25 @@ class TestGroupStructure:
         assert got == one
 
 
-def _family(family, order):
-    n = DEFAULT_ORDER if order == "exact" else order
-    return [e for e in suite.parse_manifest(suite.load_default_manifest(), n)
-            if e.name.startswith(family + ".")]
-
-
-FAMILIES = [("position-law", "s5.traKsi", F.check_position_law),
-            ("metric", "s5.traG", F.metric_check),
-            ("tetrad", "s5.traE", F.check_tetrad_law),
-            ("momentum", "s5.traP.law", F.check_momentum_law),
-            ("reciprocity", "s5.recip", F.reciprocity_check),
-            ("canonical-invariance", "s5.inv", F.canonical_invariance)]
+FAMILIES = ["s5.traKsi", "s5.traG", "s5.traE", "s5.traP.law", "s5.recip", "s5.inv",
+            "s5.traPXS"]
 
 
 class TestManifestFamilies:
-    """Each frame-law checker runs its family of the default manifest."""
+    """The accelerated-frame families of the shipped manifest, decided by the
+    runner of ``diracobs check``."""
 
-    @pytest.mark.parametrize("name, family, checker", FAMILIES,
-                             ids=[f[1] for f in FAMILIES])
-    def test_checker_runs_its_family(self, name, family, checker):
-        result = checker(1)
-        assert result.passed
-        assert (result.name, result.order) == (name, 1)
-        assert len(result.residuals) == len(_family(family, 1))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_controls_fail(self, family):
+        # a control shows something only when the entry it perturbs passes,
+        # so each order first runs the family itself
+        for order in (1, 3):
+            assert _family_passes(family, order), order
+            entries = _family(family, order)
+            controls = suite.run_suite(suite.negative_controls(entries), order=order)
+            assert _statuses(controls) == ["fail"] * len(entries), order
+            assert _coefficients(controls) == {}
 
-    def test_hermitian_forms_run_their_family(self, hermitian_result):
-        assert len(hermitian_result.residuals) == len(_family("s5.traPXS", "exact"))
-
-    @pytest.mark.parametrize("name, family, order",
-                             [(name, family, 1) for name, family, _ in FAMILIES]
-                             + [("hermitian-forms", "s5.traPXS", "exact")],
-                             ids=[f[1] for f in FAMILIES] + ["s5.traPXS"])
-    def test_negative_controls_fail(self, name, family, order):
-        controls = suite.negative_controls(_family(family, order))
-        result = F._manifest_law(name, family, order, entries=controls)
-        assert result.passed is False
-        assert not result.residual.is_zero
-        assert result.coefficients == {}
-        assert result.to_report_entry()["status"] == "fail"
-
-    def test_unknown_family_is_an_error(self):
-        with pytest.raises(ValueError, match="no manifest entries"):
-            F._manifest_law("none", "s5.nosuchfamily", 1)
+    def test_hermitian_forms_run_their_family(self):
+        names = [e["name"] for e in F.check_hermitian_forms()["entries"]]
+        assert names == [e.name for e in _family("s5.traPXS", DEFAULT_ORDER)]

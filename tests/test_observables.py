@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from diracobs import observables as obs
+from diracobs.conventions import eta
 from diracobs.ncalg import NCElement, bracket, dot
 from diracobs.observables import UnknownObservable
 from diracobs.scalars import Scalar
@@ -31,12 +32,12 @@ class TestDefiningRelations:
     def test_transversality(self):
         pw = NCElement.zero()
         for m in range(4):
-            pw = pw + obs.P(m) * obs.W(m) * obs._eta(m)
+            pw = pw + obs.P(m) * obs.W(m) * eta(m)
         assert pw.is_zero
         for n in range(4):
             ps = NCElement.zero()
             for m in range(4):
-                ps = ps + obs.P(m) * obs.S(m, n) * obs._eta(m)
+                ps = ps + obs.P(m) * obs.S(m, n) * eta(m)
             assert ps.is_zero
 
     def test_velocities(self):
@@ -58,7 +59,7 @@ class TestDefiningRelations:
             for n in range(4):
                 target = NCElement.zero()
                 if m == n:
-                    target = one * (quarter * obs._eta(m))
+                    target = one * (quarter * eta(m))
                 target = target - (obs.P(m) * obs.P(n) * (quarter * Scalar.w_pow(-2)))
                 assert dot(obs.S_vec(m), obs.S_vec(n)) == target
 
@@ -76,7 +77,7 @@ class TestDefiningRelations:
             for (m, n, r, s), sign in nonzero_epsilon():
                 if m != mu:
                     continue
-                coef = Fraction(sign, -2) * obs._eta(n) * obs._eta(r)
+                coef = Fraction(sign, -2) * eta(n) * eta(r)
                 spin_only = spin_only + obs.s_spin(n, r) * obs.P_up(s) * coef
             assert obs.W(mu) == spin_only
 
@@ -84,7 +85,7 @@ class TestDefiningRelations:
 class TestIndexUtilities:
     def test_raise_lower_roundtrip(self):
         for m in range(4):
-            assert obs.upper(obs.P, m) == obs.P(m) * obs._eta(m)
+            assert obs.upper(obs.P, m) == obs.P(m) * eta(m)
             raised = lambda mu: obs.upper(obs.P, mu)
             assert obs.upper(raised, m) == obs.P(m)
 
