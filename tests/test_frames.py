@@ -275,13 +275,22 @@ class TestGroupStructure:
         assert got == one
 
 
-FAMILIES = ["s5.traKsi", "s5.traG", "s5.traE", "s5.traP.law", "s5.recip", "s5.inv",
-            "s5.traPXS"]
+FRAME_LAWS = ["s5.traKsi", "s5.traG", "s5.traE", "s5.traP.law", "s5.recip", "s5.inv"]
+FAMILIES = FRAME_LAWS + ["s5.traPXS"]
 
 
 class TestManifestFamilies:
     """The accelerated-frame families of the shipped manifest, decided by the
     runner of ``diracobs check``."""
+
+    @pytest.mark.parametrize("family", FRAME_LAWS)
+    def test_checker_runs_its_family(self, family):
+        for order in (1, 3):
+            entries = _family(family, order)
+            report = suite.run_suite(entries, order=order)
+            assert entries, order
+            assert [e["name"] for e in report["entries"]] == [e.name for e in entries]
+            assert _statuses(report) == ["pass"] * len(entries), order
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_negative_controls_fail(self, family):
