@@ -23,8 +23,7 @@ Layers, bottom up:
 from .conventions import DEFAULT_ORDER
 from .exprcli import EvalConfig, EvalError, ParseError, eval_text, parse, render_expr
 from .frames import conformal_factor, conformal_factor_inv, conjugate, vierbein
-from .ncalg import (Involution, NCElement, NotUnitalSeries, PolyForm, bracket,
-                    dot, geometric_inverse, poly_eval_left, poly_eval_sym)
+from .ncalg import Involution, NCElement, NotUnitalSeries, bracket, dot, geometric_inverse
 from .observables import UnknownObservable, adjoint, build, catalog_names
 from .scalars import GRat, NonInvertibleCoefficient, Scalar
 from .suite import (IdentityEntry, ManifestParseError, golden_snapshot,
@@ -35,9 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ORDER", "EvalConfig", "EvalError", "GRat", "IdentityEntry",
     "Involution", "ManifestParseError", "NCElement", "NonInvertibleCoefficient",
-    "NotUnitalSeries", "ParseError", "PolyForm", "Scalar", "UnknownObservable",
+    "NotUnitalSeries", "ParseError", "Scalar", "UnknownObservable",
     "adjoint", "bracket", "build", "catalog_names", "conformal_factor",
     "conformal_factor_inv", "conjugate", "dot", "eval_text", "geometric_inverse",
     "golden_snapshot", "load_default_manifest", "parse", "parse_manifest",
-    "poly_eval_left", "poly_eval_sym", "render_expr", "run_suite", "vierbein",
+    "render_expr", "run_suite", "vierbein",
 ]

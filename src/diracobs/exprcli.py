@@ -43,8 +43,7 @@ from fractions import Fraction
 
 from . import frames, observables as obs
 from .conventions import DEFAULT_ORDER
-from .ncalg import (NCElement, PolyForm, bracket_truncated, dot_truncated,
-                    mul_truncated, poly_eval_sym)
+from .ncalg import NCElement, bracket_truncated, dot_truncated, mul_truncated
 from .observables import UnknownObservable
 from .scalars import ExponentOverflow, Scalar
 
@@ -493,11 +492,6 @@ class EvalConfig:
     alpha_max: int | None = None
 
 
-def _dEvb(order, r, m, n):
-    de = frames.xderiv_up(frames.vierbein(m, n), r)
-    return poly_eval_sym(PolyForm.from_element(de), frames._X_args())
-
-
 #: Frame quantities: name -> (number of indices, build(order, *indices)).
 #: Each build looks its ``frames`` function up when called, so a rebound
 #: ``frames`` attribute (as in ``bench/tracing.py``) is the one that runs.
@@ -510,7 +504,8 @@ _FRAME_QUANTITIES = {
     "dxbar": (2, lambda order, m, r: frames.xderiv(frames.xbar_up(r, order), m)),
     "Evb": (2, lambda order, m, n: frames.E(m, n)),
     "EvbL": (2, lambda order, m, n: frames.E_left(m, n)),
-    "dEvb": (3, _dEvb),
+    "dEvb": (3, lambda order, r, m, n: frames.on_hermitian_positions(
+        frames.xderiv_up(frames.vierbein(m, n), r))),
     "ddvbP": (1, lambda order, m: frames.ddE_P(m)),
 }
 
@@ -755,13 +750,9 @@ def main(argv=None) -> int:
             return _cmd_conjugate(args)
         if args.command == "snapshot":
             return _cmd_snapshot(args)
-    except (ParseError, EvalError, UnknownObservable, ExponentOverflow) as e:
+    except (UnknownObservable, ExponentOverflow, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

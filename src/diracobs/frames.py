@@ -30,7 +30,9 @@ runner (:func:`diracobs.suite.run_suite`, filtered on the family prefix):
 
 This module builds the series and the closed-form pieces the manifest
 refers to (``lam``, ``vb``, ``Evb``, ...); the laws and their coefficients
-live only in the manifest.
+live only in the manifest.  It is also the one place that substitutes the
+hermitian positions ``X_mu`` for ``x_mu`` in a position polynomial
+(:func:`on_hermitian_positions`, used for ``Evb``, ``EvbL`` and ``dEvb``).
 
 Commutative position calculus (``d/dx^rho``) is defined only on the
 x-subalgebra: elements with trivial Clifford word whose coefficients are
@@ -45,8 +47,8 @@ from functools import lru_cache
 
 from . import observables as obs
 from .conventions import SIGMA, eta
-from .ncalg import (NCElement, PolyForm, bracket_truncated, geometric_inverse,
-                    mul_truncated, poly_eval_left, poly_eval_sym)
+from .ncalg import (NCElement, bracket_truncated, dot, geometric_inverse,
+                    mul_truncated)
 from .scalars import Scalar
 
 
@@ -192,26 +194,46 @@ def vierbein(mu: int, nu: int) -> NCElement:
 # Hermitian-variable forms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _vierbein_form(mu: int, nu: int) -> PolyForm:
-    return PolyForm.from_element(vierbein(mu, nu))
+def on_hermitian_positions(el: NCElement, ordered: bool = False) -> NCElement:
+    """``el`` with each ``x_mu`` replaced by the hermitian position ``X_mu``.
 
-
-@lru_cache(maxsize=None)
-def _X_args():
-    return tuple(obs.X(mu) for mu in range(4))
+    ``el`` is a position polynomial of x-degree <= 2.  The ``X_mu`` do not
+    commute, so a cross term ``c x_r x_s`` becomes the symmetrised product
+    ``(X_r . X_s) c``, or with ``ordered`` the double sum of plain products
+    ``(X_r X_s + X_s X_r) c/2``.  Anything of higher degree raises
+    :class:`NotInCommutativeSubalgebra`.
+    """
+    _require_x_subalgebra(el)
+    if el.x_degree() > 2:
+        raise NotInCommutativeSubalgebra("position polynomial of degree above 2")
+    out = NCElement.zero()
+    for xk, _w, c in el.terms():
+        slots = [mu for mu, e in enumerate(xk) for _ in range(e)]
+        if len(slots) < 2:
+            term = obs.X(slots[0]) if slots else NCElement.one()
+        else:
+            r, s = slots
+            Xr, Xs = obs.X(r), obs.X(s)
+            if r == s:
+                term = Xr * Xr
+            elif ordered:
+                term = (Xr * Xs + Xs * Xr) * Fraction(1, 2)
+            else:
+                term = dot(Xr, Xs)
+        out = out + term * c
+    return out
 
 
 @lru_cache(maxsize=None)
 def E(mu: int, nu: int) -> NCElement:
     """E_mu^nu: the vierbein polynomial evaluated on hermitian positions."""
-    return poly_eval_sym(_vierbein_form(mu, nu), _X_args())
+    return on_hermitian_positions(vierbein(mu, nu))
 
 
 @lru_cache(maxsize=None)
 def E_left(mu: int, nu: int) -> NCElement:
-    """Left-to-right ordered evaluation of the same symmetric form."""
-    return poly_eval_left(_vierbein_form(mu, nu), _X_args())
+    """The same evaluation with cross terms as ordered double sums."""
+    return on_hermitian_positions(vierbein(mu, nu), ordered=True)
 
 
 @lru_cache(maxsize=None)

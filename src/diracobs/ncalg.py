@@ -57,7 +57,7 @@ from itertools import product as _cartesian
 from math import comb
 
 from . import clifford
-from .scalars import GRat, Scalar, _finish_parts, _mul_parts
+from .scalars import GRat, Scalar, _coerce as _coerce_scalar, _finish_parts, _mul_parts
 
 _X0 = (0, 0, 0, 0)
 
@@ -199,15 +199,15 @@ class NCElement:
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other) -> "NCElement":
-        if isinstance(other, (int, Fraction, GRat, Scalar)):
-            s = other if isinstance(other, Scalar) else _to_scalar(other)
-            if s.is_zero:
-                return NCElement.zero()
-            # Right-multiplying by a coefficient never reorders anything.
-            return NCElement({k: v * s for k, v in self._t.items()})
-        if not isinstance(other, NCElement):
+        if isinstance(other, NCElement):
+            return self._mul_impl(other, None)
+        s = _coerce_scalar(other)
+        if s is NotImplemented:
             return NotImplemented
-        return self._mul_impl(other, None)
+        if s.is_zero:
+            return NCElement.zero()
+        # Right-multiplying by a coefficient never reorders anything.
+        return NCElement({k: v * s for k, v in self._t.items()})
 
     def _mul_impl(self, other: "NCElement", amax, sym: int = 0) -> "NCElement":
         """``ab``, ``ab - ba`` or ``ab + ba`` for ``sym`` = 0, -1 or +1, as one
@@ -290,20 +290,11 @@ class NCElement:
         return NCElement(out, normalize=False)
 
     def __rmul__(self, other) -> "NCElement":
-        if isinstance(other, (int, Fraction, GRat)):
-            return self * other
         if isinstance(other, Scalar):
             # A coefficient on the left must be commuted past the x-part.
             return NCElement.from_scalar(other) * self
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "NCElement":
-        if n < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = NCElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        # A number commutes with everything.
+        return self * other
 
     # -- alpha grading ------------------------------------------------------
 
@@ -378,20 +369,11 @@ def _xpart_str(x) -> str:
                     for mu, e in enumerate(x) if e)
 
 
-def _to_scalar(v):
-    if isinstance(v, GRat):
-        return Scalar.from_grat(v)
-    return Scalar.from_rational(v)
-
-
 def _coerce(x):
     if isinstance(x, NCElement):
         return x
-    if isinstance(x, (int, Fraction)):
-        return NCElement.from_scalar(Scalar.from_rational(x))
-    if isinstance(x, (Scalar, GRat)):
-        return NCElement.from_scalar(x if isinstance(x, Scalar) else Scalar.from_grat(x))
-    return NotImplemented
+    s = _coerce_scalar(x)
+    return s if s is NotImplemented else NCElement.from_scalar(s)
 
 
 def _new_slot():
@@ -478,83 +460,6 @@ def geometric_inverse(u: NCElement, n: int) -> NCElement:
             break
         acc = acc + (power if k % 2 == 0 else -power)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Polynomial forms in four slots (degree <= 2) and their substitution
-# ---------------------------------------------------------------------------
-
-class PolyForm:
-    """Commutative polynomial template of total degree <= 2 in 4 slots.
-
-    Coefficients are Scalars; quadratic cross terms are stored once per
-    unordered slot pair, i.e. the form is kept with symmetric coefficients.
-    """
-
-    __slots__ = ("const", "lin", "quad")
-
-    def __init__(self, const: Scalar, lin: dict, quad: dict):
-        self.const = const
-        self.lin = {k: v for k, v in lin.items() if not v.is_zero}
-        self.quad = {k: v for k, v in quad.items() if not v.is_zero}
-        for (r, s) in self.quad:
-            if r > s:
-                raise ValueError("quadratic keys must be sorted slot pairs")
-
-    @classmethod
-    def from_element(cls, el: NCElement) -> "PolyForm":
-        """Read a template off a pure-position element of x-degree <= 2."""
-        const = Scalar.zero()
-        lin: dict = {}
-        quad: dict = {}
-        for x, w, s in el.terms():
-            if w != 0:
-                raise ValueError("element has Clifford content; not a position polynomial")
-            d = sum(x)
-            if d == 0:
-                const = const + s
-            elif d == 1:
-                r = x.index(1)
-                lin[r] = lin.get(r, Scalar.zero()) + s
-            elif d == 2:
-                nz = [mu for mu, e in enumerate(x) if e]
-                if len(nz) == 1:
-                    key = (nz[0], nz[0])
-                else:
-                    key = (nz[0], nz[1])
-                quad[key] = quad.get(key, Scalar.zero()) + s
-            else:
-                raise ValueError("template degree exceeds 2")
-        return cls(const, lin, quad)
-
-
-def poly_eval_sym(form: PolyForm, args) -> NCElement:
-    """Fully symmetrised substitution of four operators into the form."""
-    out = NCElement.from_scalar(form.const)
-    for r, c in form.lin.items():
-        out = out + args[r] * c
-    for (r, s), c in form.quad.items():
-        term = args[r] * args[r] if r == s else dot(args[r], args[s])
-        out = out + term * c
-    return out
-
-
-def poly_eval_left(form: PolyForm, args) -> NCElement:
-    """Left-to-right substitution of the symmetric form.
-
-    Cross terms are expanded as the symmetric double sum
-    (c/2) A_r A_s + (c/2) A_s A_r with plain (ordered) products.
-    """
-    out = NCElement.from_scalar(form.const)
-    for r, c in form.lin.items():
-        out = out + args[r] * c
-    half = Fraction(1, 2)
-    for (r, s), c in form.quad.items():
-        if r == s:
-            out = out + args[r] * args[r] * c
-        else:
-            out = out + (args[r] * args[s]) * (c * half) + (args[s] * args[r]) * (c * half)
-    return out
 
 
 # ---------------------------------------------------------------------------

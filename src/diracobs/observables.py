@@ -186,28 +186,27 @@ def S_vec(mu: int) -> NCElement:
     return dot(W(mu), M() * Scalar.w_pow(-2))
 
 
-@lru_cache(maxsize=None)
-def S_dual(mu: int, nu: int) -> NCElement:
-    """Dual spin tensor S~_mn = (i/2) eps_{mnrs} S^rs."""
+def _dual(tensor, mu: int, nu: int) -> NCElement:
+    """(i/2) eps_{mnrs} T^rs for the lowered tensor ``tensor(r, s)``."""
     out = NCElement.zero()
     for r in range(4):
         for s in range(4):
             sign = epsilon_lower(mu, nu, r, s)
             if sign:
-                out = out + S(r, s) * (Fraction(sign) * eta(r) * eta(s))
+                out = out + tensor(r, s) * (Fraction(sign) * eta(r) * eta(s))
     return out * (Scalar.imag_unit() * Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def S_dual(mu: int, nu: int) -> NCElement:
+    """Dual spin tensor S~_mn = (i/2) eps_{mnrs} S^rs."""
+    return _dual(S, mu, nu)
 
 
 @lru_cache(maxsize=None)
 def s_dual(mu: int, nu: int) -> NCElement:
     """Dual canonical spin s~_mn = (i/2) eps_{mnrs} s^rs."""
-    out = NCElement.zero()
-    for r in range(4):
-        for s in range(4):
-            sign = epsilon_lower(mu, nu, r, s)
-            if sign:
-                out = out + s_spin(r, s) * (Fraction(sign) * eta(r) * eta(s))
-    return out * (Scalar.imag_unit() * Fraction(1, 2))
+    return _dual(s_spin, mu, nu)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,14 @@
-"""Normal-form engine: products, brackets, series, polynomial forms."""
+"""Normal-form engine: products, brackets, series; position polynomials on X."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracobs.ncalg import (NCElement, NotUnitalSeries, PolyForm, bracket,
-                            bracket_truncated, dot, dot_truncated,
-                            geometric_inverse, mul_truncated, poly_eval_left,
-                            poly_eval_sym)
+from diracobs import frames as F, observables as obs
+from diracobs.frames import NotInCommutativeSubalgebra
+from diracobs.ncalg import (NCElement, NotUnitalSeries, bracket, bracket_truncated,
+                            dot, dot_truncated, geometric_inverse, mul_truncated)
 from diracobs.scalars import Scalar
 
 from conftest import random_element
@@ -139,40 +139,49 @@ class TestSeries:
 
 
 class TestPolyForms:
+    """Position polynomials of degree <= 2 evaluated on the hermitian
+    positions by :func:`diracobs.frames.on_hermitian_positions`."""
+
     def test_product_slot_symmetrizes(self):
-        form = PolyForm(Scalar.zero(), {}, {(0, 1): Scalar.one()})
-        args = [NCElement.x(0), NCElement.x(1) * NCElement.from_scalar(Scalar.p(0)),
-                NCElement.x(2), NCElement.x(3)]
-        assert poly_eval_sym(form, args) == dot(args[0], args[1])
+        c = Scalar.alpha(0) * Fraction(3, 5)
+        el = NCElement.x(0) * NCElement.x(1) * c
+        assert F.on_hermitian_positions(el) == dot(obs.X(0), obs.X(1)) * c
+        # the hermitian positions do not commute, so the ordering shows
+        assert dot(obs.X(0), obs.X(1)) != obs.X(0) * obs.X(1)
+
+    def test_ordered_cross_term_is_double_sum(self):
+        c = Scalar.from_rational(Fraction(-2, 7))
+        el = NCElement.x(1) * NCElement.x(3) * c
+        X1, X3 = obs.X(1), obs.X(3)
+        want = X1 * X3 * c * Fraction(1, 2) + X3 * X1 * c * Fraction(1, 2)
+        assert F.on_hermitian_positions(el, ordered=True) == want
 
     def test_constant(self):
-        form = PolyForm(Scalar.from_rational(Fraction(5, 3)), {}, {})
-        assert poly_eval_sym(form, [one] * 4) == s(Fraction(5, 3))
+        assert F.on_hermitian_positions(s(Fraction(5, 3))) == s(Fraction(5, 3))
 
-    def test_left_equals_sym_for_symmetric_forms(self, rng):
+    def test_left_equals_sym_for_symmetric_forms(self):
         # the symmetric double sum reproduces the symmetrised substitution
-        from diracobs import observables as obs
-        form = PolyForm(Scalar.one(),
-                        {0: Scalar.alpha(0), 2: Scalar.from_rational(2)},
-                        {(0, 1): Scalar.from_rational(3),
-                         (2, 2): Scalar.alpha(1),
-                         (1, 3): Scalar.from_rational(Fraction(-2, 7))})
-        args = [obs.X(mu) for mu in range(4)]
-        assert poly_eval_sym(form, args) == poly_eval_left(form, args)
-
-    def test_from_element_round_trip(self):
-        el = (NCElement.x(0) * NCElement.x(1) * 3 + NCElement.x(2) * NCElement.x(2)
-              + NCElement.x(3) * Scalar.alpha(1) + one * 7)
-        form = PolyForm.from_element(el)
-        assert poly_eval_sym(form, [NCElement.x(mu) for mu in range(4)]) == el
+        x = NCElement.x
+        el = (one + x(0) * Scalar.alpha(0) + x(2) * 2 + x(0) * x(1) * 3
+              + x(2) * x(2) * Scalar.alpha(1) + x(1) * x(3) * Fraction(-2, 7))
+        got = F.on_hermitian_positions(el)
+        assert got == F.on_hermitian_positions(el, ordered=True)
+        assert got == (one + obs.X(0) * Scalar.alpha(0) + obs.X(2) * 2
+                       + dot(obs.X(0), obs.X(1)) * 3 + obs.X(2) * obs.X(2) * Scalar.alpha(1)
+                       + dot(obs.X(1), obs.X(3)) * Fraction(-2, 7))
 
     def test_from_element_rejects_clifford(self):
-        with pytest.raises(ValueError):
-            PolyForm.from_element(NCElement.gamma(0))
+        for ordered in (False, True):
+            with pytest.raises(NotInCommutativeSubalgebra):
+                F.on_hermitian_positions(NCElement.gamma(0), ordered)
+            with pytest.raises(ValueError):
+                F.on_hermitian_positions(NCElement.x(0) * NCElement.gamma(1), ordered)
 
     def test_from_element_rejects_cubic(self):
-        with pytest.raises(ValueError):
-            PolyForm.from_element(NCElement.x(0) * NCElement.x(0) * NCElement.x(0))
+        cubic = NCElement.x(0) * NCElement.x(1) * NCElement.x(2)
+        for ordered in (False, True):
+            with pytest.raises(NotInCommutativeSubalgebra):
+                F.on_hermitian_positions(cubic + one, ordered)
 
 
 @settings(max_examples=40, deadline=None)
