@@ -18,18 +18,31 @@ Layers, bottom up:
   closed-form redshift laws;
 * :mod:`~diracobs.suite` — identity manifest, runner, golden snapshots;
 * :mod:`~diracobs.exprcli` — expression language and the ``diracobs`` CLI.
+
+Importing the package loads the layers every command needs, through
+``exprcli``.  ``frames`` and ``suite`` are imported on first use: their
+names below are exported through a module ``__getattr__`` (PEP 562), and
+``exprcli`` imports ``frames`` only when it evaluates a frame quantity or a
+conjugation.  A ``diracobs eval`` that needs neither imports neither.
 """
+
+import importlib
 
 from .conventions import DEFAULT_ORDER
 from .exprcli import EvalConfig, EvalError, ParseError, eval_text, parse, render_expr
-from .frames import conformal_factor, conformal_factor_inv, conjugate, vierbein
 from .ncalg import Involution, NCElement, NotUnitalSeries, bracket, dot, geometric_inverse
 from .observables import UnknownObservable, adjoint, build, catalog_names
 from .scalars import GRat, NonInvertibleCoefficient, Scalar
-from .suite import (IdentityEntry, ManifestParseError, golden_snapshot,
-                    load_default_manifest, parse_manifest, run_suite)
 
 __version__ = "0.1.0"
+
+#: Exported names whose home module is imported when one of them is first read.
+_LAZY = {
+    **dict.fromkeys(("conformal_factor", "conformal_factor_inv", "conjugate",
+                     "vierbein"), "frames"),
+    **dict.fromkeys(("IdentityEntry", "ManifestParseError", "golden_snapshot",
+                     "load_default_manifest", "parse_manifest", "run_suite"), "suite"),
+}
 
 __all__ = [
     "DEFAULT_ORDER", "EvalConfig", "EvalError", "GRat", "IdentityEntry",
@@ -40,3 +53,10 @@ __all__ = [
     "golden_snapshot", "load_default_manifest", "parse", "parse_manifest",
     "render_expr", "run_suite", "vierbein",
 ]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

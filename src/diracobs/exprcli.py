@@ -34,14 +34,12 @@ Subcommands: ``eval``, ``check``, ``conjugate``, ``snapshot``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import frames, observables as obs
+from . import observables as obs
 from .conventions import DEFAULT_ORDER
 from .ncalg import NCElement, bracket_truncated, dot_truncated, mul_truncated
 from .observables import UnknownObservable
@@ -77,81 +75,108 @@ class EvalError(ValueError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Node:
-    span: tuple = field(default=(0, 0), compare=False)
+    """An expression node.  Each subclass lists its fields with their
+    defaults in ``_fields``; nodes are immutable, and they compare and hash
+    by type and fields.  ``span``, the node's source interval, takes no part
+    in either."""
+
+    __slots__ = ("span",)
+    _fields: dict = {}
+
+    def __init__(self, span: tuple = (0, 0), **fields):
+        unknown = fields.keys() - self._fields.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__}() got unexpected field(s) "
+                            + ", ".join(sorted(unknown)))
+        init = object.__setattr__
+        init(self, "span", span)
+        for name, default in self._fields.items():
+            init(self, name, fields.get(name, default))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((self.__class__, self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in ("span", *self._fields))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Num(Node):
-    value: Fraction = Fraction(0)
+    _fields = {"value": Fraction(0)}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Imag(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Hbar(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Alpha(Node):
-    mu: int = 0
+    _fields = {"mu": 0}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Ref(Node):
-    name: str = ""
-    indices: tuple = ()
+    _fields = {"name": "", "indices": ()}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    a: Node = None
+    _fields = {"a": None}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    a: Node = None
-    n: int = 0
+    _fields = {"a": None, "n": 0}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Prod(Node):
-    factors: tuple = ()
+    _fields = {"factors": ()}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Sum(Node):
     # terms: ((sign, node), ...) with sign in {+1, -1}
-    terms: tuple = ()
+    _fields = {"terms": ()}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Comm(Node):
-    a: Node = None
-    b: Node = None
+    _fields = {"a": None, "b": None}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class DotOp(Node):
-    a: Node = None
-    b: Node = None
+    _fields = {"a": None, "b": None}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Adj(Node):
-    a: Node = None
+    _fields = {"a": None}
+    __slots__ = tuple(_fields)
 
 
-@dataclass(frozen=True)
 class Conj(Node):
-    a: Node = None
-    order: object = None  # int or None (config default)
-    inverse: bool = False
+    # order: int, or None for the config's default
+    _fields = {"a": None, "order": None, "inverse": False}
+    __slots__ = tuple(_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +191,13 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(src: str):
@@ -482,31 +509,44 @@ def render_expr(node: Node) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
 class EvalConfig:
-    order: int = DEFAULT_ORDER
-    #: When set, every product/bracket is truncated at this alpha-degree;
-    #: ``None`` computes the plain products.
-    #: Sound for residuals checked up to that order: no operation lowers the
-    #: alpha-degree of a monomial.
-    alpha_max: int | None = None
+    """The truncation order of frame series, and ``alpha_max``: when set,
+    every product/bracket is truncated at this alpha-degree; ``None``
+    computes the plain products.  Truncating is sound for residuals checked
+    up to that order: no operation lowers the alpha-degree of a monomial."""
+
+    __slots__ = ("order", "alpha_max")
+
+    def __init__(self, order: int = DEFAULT_ORDER, alpha_max: int | None = None):
+        self.order = order
+        self.alpha_max = alpha_max
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.alpha_max) == (other.order, other.alpha_max)
+
+    def __repr__(self):
+        return f"EvalConfig(order={self.order!r}, alpha_max={self.alpha_max!r})"
 
 
-#: Frame quantities: name -> (number of indices, build(order, *indices)).
-#: Each build looks its ``frames`` function up when called, so a rebound
-#: ``frames`` attribute (as in ``bench/tracing.py``) is the one that runs.
+#: Frame quantities: name -> (number of indices, build(frames, order, *indices)).
+#: ``frames`` is imported on the first use of a frame quantity, so that a
+#: launch that evaluates none does not import it.  Each build is handed the
+#: module and looks its function up when called, so a rebound ``frames``
+#: attribute (as in ``bench/tracing.py``) is the one that runs.
 _FRAME_QUANTITIES = {
-    "laminv": (0, lambda order: frames.conformal_factor_inv()),
-    "lam": (0, lambda order: frames.conformal_factor(order)),
-    "vb": (2, lambda order, m, n: frames.vierbein(m, n)),
-    "vbraw": (2, lambda order, m, n: frames.vierbein_raw(m, n, order)),
-    "dvb": (3, lambda order, r, m, n: frames.xderiv_up(frames.vierbein(m, n), r)),
-    "dxbar": (2, lambda order, m, r: frames.xderiv(frames.xbar_up(r, order), m)),
-    "Evb": (2, lambda order, m, n: frames.E(m, n)),
-    "EvbL": (2, lambda order, m, n: frames.E_left(m, n)),
-    "dEvb": (3, lambda order, r, m, n: frames.on_hermitian_positions(
-        frames.xderiv_up(frames.vierbein(m, n), r))),
-    "ddvbP": (1, lambda order, m: frames.ddE_P(m)),
+    "laminv": (0, lambda f, order: f.conformal_factor_inv()),
+    "lam": (0, lambda f, order: f.conformal_factor(order)),
+    "vb": (2, lambda f, order, m, n: f.vierbein(m, n)),
+    "vbraw": (2, lambda f, order, m, n: f.vierbein_raw(m, n, order)),
+    "dvb": (3, lambda f, order, r, m, n: f.xderiv_up(f.vierbein(m, n), r)),
+    "dxbar": (2, lambda f, order, m, r: f.xderiv(f.xbar_up(r, order), m)),
+    "Evb": (2, lambda f, order, m, n: f.E(m, n)),
+    "EvbL": (2, lambda f, order, m, n: f.E_left(m, n)),
+    "dEvb": (3, lambda f, order, r, m, n: f.on_hermitian_positions(
+        f.xderiv_up(f.vierbein(m, n), r))),
+    "ddvbP": (1, lambda f, order, m: f.ddE_P(m)),
 }
 
 
@@ -537,8 +577,10 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         if name in _FRAME_QUANTITIES:
             arity, build = _FRAME_QUANTITIES[name]
             if len(idx) != arity:
-                raise EvalError(f"{name} takes {arity} index(es)", node.span)
-            return build(cfg.order, *idx)
+                raise EvalError(f"{name} takes {arity} index(es), got {len(idx)}",
+                                node.span)
+            from . import frames
+            return build(frames, cfg.order, *idx)
         try:
             return obs.build(name, *idx)
         except UnknownObservable as e:
@@ -572,6 +614,7 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
         order = node.order if node.order is not None else cfg.order
         sign = -1 if node.inverse else 1
         a = node.a
+        from . import frames
         if isinstance(a, Ref) and a.name not in _FRAME_QUANTITIES:
             # cached path shared across suite entries
             try:
@@ -597,6 +640,7 @@ def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False
     if fmt == "latex":
         return el.latex()
     if fmt == "json":
+        import json
         return json.dumps({"monomials": el.to_json()}, sort_keys=True, indent=2)
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -718,6 +762,7 @@ def _alpha_values(text: str) -> list:
 def _cmd_conjugate(args) -> int:
     vals = None if args.alpha is None else _alpha_values(args.alpha)
     el = eval_text(args.expr, EvalConfig(order=args.order))
+    from . import frames
     out = frames.conjugate(el, args.order)
     if vals is not None:
         out = out.subst_alpha(vals)

@@ -34,7 +34,6 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 from . import exprcli
@@ -50,20 +49,34 @@ class ManifestParseError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass
 class IdentityEntry:
-    name: str
-    lhs: str
-    rhs: str
-    order: object  # int or None for exact
-    tag: str = ""
-    #: ``(name, expr)`` of the bound coefficient; ``rhs`` already has
-    #: ``(expr)`` in place of the name.
-    binding: tuple | None = None
+    """One manifest entry: ``lhs == rhs`` exactly (``order`` None) or after
+    truncation at alpha-degree ``order``.  ``tag`` defaults to the entry
+    name's section prefix; ``binding`` is the ``(name, expr)`` of the bound
+    coefficient, and ``rhs`` already has ``(expr)`` in place of the name."""
 
-    def __post_init__(self):
-        if not self.tag:
-            self.tag = self.name.split(".", 1)[0]
+    __slots__ = ("name", "lhs", "rhs", "order", "tag", "binding")
+
+    def __init__(self, name: str, lhs: str, rhs: str, order, tag: str = "",
+                 binding: tuple | None = None):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+        self.order = order
+        self.tag = tag or name.split(".", 1)[0]
+        self.binding = binding
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityEntry({fields})"
 
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")

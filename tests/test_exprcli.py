@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,17 @@ class TestParser:
         assert parse("i") == Imag()
         assert parse("hbar") == Hbar()
         assert parse("alpha[2]") == Alpha(mu=2)
+
+    def test_nodes_compare_by_type_and_fields(self):
+        spanned, bare = Num(value=Fraction(1), span=(0, 1)), Num(value=Fraction(1))
+        assert spanned == bare and hash(spanned) == hash(bare)
+        assert Num(value=Fraction(2)) != bare
+        assert Imag() != Hbar()
+        assert repr(spanned) == "Num(span=(0, 1), value=Fraction(1, 1))"
+        with pytest.raises(TypeError, match="valu"):
+            Num(valu=Fraction(1))
+        with pytest.raises(AttributeError):
+            bare.value = Fraction(2)
 
     def test_conj_order_clause(self):
         node = parse("conj(M; order=2)")
@@ -177,6 +187,10 @@ class TestEvaluation:
         assert conj.value.span == (5, 6)
         with pytest.raises(EvalError, match="unknown observable: Q"):
             eval_text("conj(Q[1])")
+        # a frame quantity says what it got, as a catalog name does
+        with pytest.raises(EvalError) as frame:
+            eval_text("vb[0]")
+        assert str(frame.value) == "at 0..5: vb takes 2 index(es), got 1"
 
     def test_frame_builtins(self):
         from diracobs import frames
@@ -194,7 +208,8 @@ class TestEvaluation:
         value = eval_text(ref, cfg)
         assert not value.is_zero
         wrong = f"{name}[{idx},0]" if arity else f"{name}[0]"
-        with pytest.raises(EvalError, match=f"{name} takes {arity} index"):
+        with pytest.raises(EvalError,
+                           match=rf"{name} takes {arity} index\(es\), got {arity + 1}$"):
             eval_text(wrong)
         # a frame quantity is not a catalog observable: conj shifts its value
         from diracobs import frames
@@ -290,7 +305,7 @@ class TestCLI:
                                                    alpha, message):
         def conjugate(*args):
             raise AssertionError("conjugated before --alpha was validated")
-        monkeypatch.setattr(exprcli.frames, "conjugate", conjugate)
+        monkeypatch.setattr("diracobs.frames.conjugate", conjugate)
         assert main(["conjugate", "M", "--order", "3", "--alpha", alpha]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -383,8 +398,8 @@ class TestCLI:
         def exponents(node):
             if isinstance(node, Pow):
                 yield node.n
-            for f in fields(node):
-                value = getattr(node, f.name)
+            for name in node._fields:
+                value = getattr(node, name)
                 for v in value if isinstance(value, tuple) else (value,):
                     if isinstance(v, tuple):  # a (sign, term) of a Sum
                         v = v[1]

@@ -19,6 +19,15 @@ class TestManifestFormat:
         assert entries == [IdentityEntry("XX", "comm(Xh[1],Xh[2])",
                                          "S[1,2]*Minv2", None, "XX")]
 
+    def test_entry_equality_tag_and_repr(self):
+        entry = IdentityEntry("s2.x", "M", "M", None)
+        assert entry.tag == "s2" and entry.binding is None
+        assert entry == IdentityEntry("s2.x", "M", "M", None, "s2")
+        assert entry != IdentityEntry("s2.x", "M", "M", 2)
+        assert IdentityEntry("s2.x", "M", "M", None, tag="t").tag == "t"
+        assert repr(entry) == ("IdentityEntry(name='s2.x', lhs='M', rhs='M', "
+                               "order=None, tag='s2', binding=None)")
+
     def test_order_clause_and_comments(self):
         text = "# header\n\nfoo.a := M == M @ order 2  # trailing\n"
         (e,) = parse_manifest(text)
