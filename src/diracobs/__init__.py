@@ -29,7 +29,7 @@ conjugation.  A ``diracobs eval`` that needs neither imports neither.
 import importlib
 
 from .conventions import DEFAULT_ORDER
-from .exprcli import EvalConfig, EvalError, ParseError, eval_text, parse, render_expr
+from .exprcli import EvalError, ParseError, eval_text, parse, render_expr
 from .ncalg import Involution, NCElement, NotUnitalSeries, bracket, dot, geometric_inverse
 from .observables import UnknownObservable, adjoint, build, catalog_names
 from .scalars import GRat, NonInvertibleCoefficient, Scalar
@@ -45,7 +45,7 @@ _LAZY = {
 }
 
 __all__ = [
-    "DEFAULT_ORDER", "EvalConfig", "EvalError", "GRat", "IdentityEntry",
+    "DEFAULT_ORDER", "EvalError", "GRat", "IdentityEntry",
     "Involution", "ManifestParseError", "NCElement", "NonInvertibleCoefficient",
     "NotUnitalSeries", "ParseError", "Scalar", "UnknownObservable",
     "adjoint", "bracket", "build", "catalog_names", "conformal_factor",

@@ -28,6 +28,10 @@ quantities are exposed for the identity manifest: ``laminv``, ``lam``,
 ``EvbL[m,n]``, ``dEvb[r,m,n]``, ``ddvbP[m]``.  Einstein summation is never
 implicit.
 
+:func:`evaluate` gives the normal form.  ``order`` is the order of every
+frame series written without one; with ``exact=False`` every product and the
+result are truncated at alpha-degree ``order``, the rule of ``@ order N``.
+
 Subcommands: ``eval``, ``check``, ``conjugate``, ``snapshot``.
 """
 
@@ -174,7 +178,7 @@ class Adj(Node):
 
 
 class Conj(Node):
-    # order: int, or None for the config's default
+    # order: int, or None for the order of the evaluation
     _fields = {"a": None, "order": None, "inverse": False}
     __slots__ = tuple(_fields)
 
@@ -509,27 +513,6 @@ def render_expr(node: Node) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-class EvalConfig:
-    """The truncation order of frame series, and ``alpha_max``: when set,
-    every product/bracket is truncated at this alpha-degree; ``None``
-    computes the plain products.  Truncating is sound for residuals checked
-    up to that order: no operation lowers the alpha-degree of a monomial."""
-
-    __slots__ = ("order", "alpha_max")
-
-    def __init__(self, order: int = DEFAULT_ORDER, alpha_max: int | None = None):
-        self.order = order
-        self.alpha_max = alpha_max
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.alpha_max) == (other.order, other.alpha_max)
-
-    def __repr__(self):
-        return f"EvalConfig(order={self.order!r}, alpha_max={self.alpha_max!r})"
-
-
 #: Frame quantities: name -> (number of indices, build(frames, order, *indices)).
 #: ``frames`` is imported on the first use of a frame quantity, so that a
 #: launch that evaluates none does not import it.  Each build is handed the
@@ -557,13 +540,16 @@ def is_defined_name(name: str) -> bool:
             or name in _FRAME_QUANTITIES or name in obs.catalog_names())
 
 
-def evaluate(node: Node, config: EvalConfig | None = None) -> NCElement:
-    """Evaluate an expression to its normal form."""
-    config = config or EvalConfig()
-    return _eval(node, config)
+def evaluate(node: Node, order: int = DEFAULT_ORDER, exact: bool = True) -> NCElement:
+    """Evaluate an expression to its normal form at ``order`` (see the module
+    docstring).  Truncating every product is sound for ``exact=False``
+    because no operation lowers the alpha-degree of a monomial."""
+    if exact:
+        return _eval(node, order, None)
+    return _eval(node, order, order).alpha_truncate(order)
 
 
-def _eval(node: Node, cfg: EvalConfig) -> NCElement:
+def _eval(node: Node, order: int, amax: int | None) -> NCElement:
     if isinstance(node, Num):
         return NCElement.from_scalar(Scalar.from_rational(node.value))
     if isinstance(node, Imag):
@@ -580,63 +566,61 @@ def _eval(node: Node, cfg: EvalConfig) -> NCElement:
                 raise EvalError(f"{name} takes {arity} index(es), got {len(idx)}",
                                 node.span)
             from . import frames
-            return build(frames, cfg.order, *idx)
+            return build(frames, order, *idx)
         try:
             return obs.build(name, *idx)
         except UnknownObservable as e:
             raise EvalError(f"unknown observable: {e.args[0]}", node.span) from None
     if isinstance(node, Neg):
-        return -_eval(node.a, cfg)
+        return -_eval(node.a, order, amax)
     if isinstance(node, Pow):
-        base = _eval(node.a, cfg)
+        base = _eval(node.a, order, amax)
         out = NCElement.one()
         for _ in range(node.n):
-            out = mul_truncated(out, base, cfg.alpha_max)
+            out = mul_truncated(out, base, amax)
         return out
     if isinstance(node, Prod):
-        out = _eval(node.factors[0], cfg)
+        out = _eval(node.factors[0], order, amax)
         for f in node.factors[1:]:
-            out = mul_truncated(out, _eval(f, cfg), cfg.alpha_max)
+            out = mul_truncated(out, _eval(f, order, amax), amax)
         return out
     if isinstance(node, Sum):
         out = NCElement.zero()
         for sign, t in node.terms:
-            v = _eval(t, cfg)
+            v = _eval(t, order, amax)
             out = out + v if sign > 0 else out - v
         return out
-    if isinstance(node, Comm):
-        return bracket_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
-    if isinstance(node, DotOp):
-        return dot_truncated(_eval(node.a, cfg), _eval(node.b, cfg), cfg.alpha_max)
+    if isinstance(node, (Comm, DotOp)):
+        op = bracket_truncated if isinstance(node, Comm) else dot_truncated
+        return op(_eval(node.a, order, amax), _eval(node.b, order, amax), amax)
     if isinstance(node, Adj):
-        return obs.adjoint(_eval(node.a, cfg))
+        return obs.adjoint(_eval(node.a, order, amax))
     if isinstance(node, Conj):
-        order = node.order if node.order is not None else cfg.order
+        n = order if node.order is None else node.order
         sign = -1 if node.inverse else 1
         a = node.a
         from . import frames
         if isinstance(a, Ref) and a.name not in _FRAME_QUANTITIES:
             # cached path shared across suite entries
             try:
-                return frames.conjugate_named(a.name, a.indices, order, sign)
+                return frames.conjugate_named(a.name, a.indices, n, sign)
             except UnknownObservable as e:
                 raise EvalError(f"unknown observable: {e.args[0]}", a.span) from None
-        return frames.conjugate(_eval(a, cfg), order, sign)
+        return frames.conjugate(_eval(a, order, amax), n, sign)
     raise EvalError("unsupported expression node", getattr(node, "span", (0, 0)))
 
 
-def eval_text(src: str, config: EvalConfig | None = None) -> NCElement:
-    return evaluate(parse(src), config)
+def eval_text(src: str, order: int = DEFAULT_ORDER, exact: bool = True) -> NCElement:
+    return evaluate(parse(src), order, exact)
 
 
 # ---------------------------------------------------------------------------
 # Element rendering for the CLI
 # ---------------------------------------------------------------------------
 
-def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False,
-                   reverse: bool = False) -> str:
+def render_element(el: NCElement, fmt: str = "plain", alias_gamma5: bool = False) -> str:
     if fmt == "plain":
-        return el.render(reverse=reverse, alias_gamma5=alias_gamma5)
+        return el.render(alias_gamma5=alias_gamma5)
     if fmt == "latex":
         return el.latex()
     if fmt == "json":
@@ -713,7 +697,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    el = eval_text(args.expr, EvalConfig(order=args.order))
+    el = eval_text(args.expr, args.order)
     print(render_element(el, args.format, alias_gamma5=args.gamma5_alias))
     return 0
 
@@ -761,7 +745,7 @@ def _alpha_values(text: str) -> list:
 
 def _cmd_conjugate(args) -> int:
     vals = None if args.alpha is None else _alpha_values(args.alpha)
-    el = eval_text(args.expr, EvalConfig(order=args.order))
+    el = eval_text(args.expr, args.order)
     from . import frames
     out = frames.conjugate(el, args.order)
     if vals is not None:

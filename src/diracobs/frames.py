@@ -90,7 +90,8 @@ def conjugate(el: NCElement, order: int, sign: int = 1) -> NCElement:
 
 @lru_cache(maxsize=None)
 def conjugate_named(name: str, indices: tuple, order: int, sign: int = 1) -> NCElement:
-    """Cached frame shift of a catalog observable (shared across suite entries)."""
+    """Cached frame shift of a catalog observable.  Callers pass all four
+    arguments: ``lru_cache`` keys a call by the arguments as written."""
     return conjugate(obs.build(name, *indices), order, sign)
 
 
@@ -113,10 +114,9 @@ def conformal_factor(order: int) -> NCElement:
     return geometric_inverse(conformal_factor_inv(), order)
 
 
-@lru_cache(maxsize=None)
 def xbar(mu: int, order: int) -> NCElement:
     """Shifted position x_bar_mu (lowered) as an alpha-series."""
-    return conjugate_named("xc", (mu,), order)
+    return conjugate_named("xc", (mu,), order, 1)
 
 
 @lru_cache(maxsize=None)

@@ -313,6 +313,8 @@ class NCElement:
         return NCElement({k: s.alpha_part(n) for k, s in self._t.items()})
 
     def subst_alpha(self, values) -> "NCElement":
+        if len(values) != 4:
+            raise ValueError(f"subst_alpha takes exactly four values, got {len(values)}")
         return NCElement({k: s.subst_alpha(values) for k, s in self._t.items()})
 
     # -- rendering ----------------------------------------------------------

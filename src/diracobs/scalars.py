@@ -650,6 +650,8 @@ class Scalar:
     def subst_alpha(self, values) -> "Scalar":
         """Substitute rational numbers for the four alpha parameters."""
         vals = [_rational(v) for v in values]
+        if len(vals) != 4:
+            raise ValueError(f"subst_alpha takes exactly four values, got {len(vals)}")
         out = []
         for P in (self._a, self._b):
             acc: dict = {}

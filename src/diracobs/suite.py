@@ -13,10 +13,9 @@ paper-section tag as a dotted prefix (``s2.`` .. ``s5``; the adjoint section
 uses the ``s3.adj.`` prefix), which is what ``--filter`` matches on.
 
 ``@ exact`` entries must normal-form to zero identically; ``@ order N``
-entries must vanish after truncation at total alpha-degree N (their
-evaluation threads N through every product, which is sound because no
-operation lowers the alpha-degree of a monomial).  A bare ``@ order`` takes
-the order of the run, so one file states each series law at every order.
+entries must vanish after truncation at total alpha-degree N: each side is
+``exprcli.evaluate(node, N, exact=False)``.  A bare ``@ order`` takes the
+order of the run, so one file states each series law at every order.
 
 An entry may bind one named coefficient after its clause.  The name stands
 for ``(expr)`` in the right-hand side, so the identity itself checks the
@@ -51,19 +50,19 @@ class ManifestParseError(ValueError):
 
 class IdentityEntry:
     """One manifest entry: ``lhs == rhs`` exactly (``order`` None) or after
-    truncation at alpha-degree ``order``.  ``tag`` defaults to the entry
-    name's section prefix; ``binding`` is the ``(name, expr)`` of the bound
+    truncation at alpha-degree ``order``.  ``tag`` is the entry name's
+    section prefix; ``binding`` is the ``(name, expr)`` of the bound
     coefficient, and ``rhs`` already has ``(expr)`` in place of the name."""
 
     __slots__ = ("name", "lhs", "rhs", "order", "tag", "binding")
 
-    def __init__(self, name: str, lhs: str, rhs: str, order, tag: str = "",
+    def __init__(self, name: str, lhs: str, rhs: str, order,
                  binding: tuple | None = None):
         self.name = name
         self.lhs = lhs
         self.rhs = rhs
         self.order = order
-        self.tag = tag or name.split(".", 1)[0]
+        self.tag = name.split(".", 1)[0]
         self.binding = binding
 
     def _values(self) -> tuple:
@@ -176,10 +175,8 @@ def _side(src: str, e: IdentityEntry, order: int):
 
     ``order`` is the runner's order, used by ``@ exact`` entries for series
     written without an explicit order."""
-    n = e.order if isinstance(e.order, int) else None
-    cfg = exprcli.EvalConfig(order=order if n is None else n, alpha_max=n)
-    el = exprcli.evaluate(exprcli.parse(src), cfg)
-    return el if n is None else el.alpha_truncate(n)
+    exact = e.order is None
+    return exprcli.evaluate(exprcli.parse(src), order if exact else e.order, exact)
 
 
 def _residual(e: IdentityEntry, order: int):
@@ -286,17 +283,17 @@ def golden_snapshot(names, out_dir: str, monomial_order: str = "default"):
 # Negative controls (used by tests; never part of the shipped manifest)
 # ---------------------------------------------------------------------------
 
-def negative_controls(entries):
+def negative_controls(entries, order: int = DEFAULT_ORDER):
     """Perturbed copies of entries that must all fail.
 
     Identities with a nonzero right-hand side get the sign of the right-hand
     side flipped; identities stated against (anything evaluating to) zero are
     shifted by 1, since negating zero would change nothing.  The right-hand
-    side is evaluated as the runner evaluates it, so one that vanishes only
-    after truncation at the entry's order counts as zero.
+    side is evaluated as a run at ``order`` evaluates it, so one that
+    vanishes only after truncation counts as zero.
     """
     out = []
     for e in entries:
-        rhs = "1" if _side(e.rhs, e, DEFAULT_ORDER).is_zero else f"-({e.rhs})"
+        rhs = "1" if _side(e.rhs, e, order).is_zero else f"-({e.rhs})"
         out.append(IdentityEntry(e.name + ".neg", e.lhs, rhs, e.order))
     return out

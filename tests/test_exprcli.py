@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from diracobs import exprcli, observables as obs
-from diracobs.exprcli import (Alpha, Comm, Conj, DotOp, EvalConfig, EvalError,
-                              Hbar, Imag, Neg, Num, ParseError, Pow, Prod, Ref,
-                              Sum, eval_text, main, parse, render_expr)
+from diracobs.exprcli import (Alpha, Comm, Conj, DotOp, EvalError, Hbar, Imag, Neg,
+                              Num, ParseError, Pow, Prod, Ref, Sum, eval_text, main,
+                              parse, render_expr)
 from diracobs.ncalg import NCElement
 from diracobs.scalars import Scalar
 
@@ -195,7 +195,7 @@ class TestEvaluation:
     def test_frame_builtins(self):
         from diracobs import frames
         assert eval_text("laminv") == frames.conformal_factor_inv()
-        assert eval_text("vb[0,0]", EvalConfig(order=3)) == frames.vierbein(0, 0)
+        assert eval_text("vb[0,0]", 3) == frames.vierbein(0, 0)
 
     @pytest.mark.parametrize("name, arity", [
         ("laminv", 0), ("lam", 0), ("vb", 2), ("vbraw", 2), ("dvb", 3),
@@ -204,8 +204,7 @@ class TestEvaluation:
         assert exprcli.is_defined_name(name)
         idx = ",".join("1" * arity)
         ref = f"{name}[{idx}]" if arity else name
-        cfg = EvalConfig(order=2)
-        value = eval_text(ref, cfg)
+        value = eval_text(ref, 2)
         assert not value.is_zero
         wrong = f"{name}[{idx},0]" if arity else f"{name}[0]"
         with pytest.raises(EvalError,
@@ -213,7 +212,7 @@ class TestEvaluation:
             eval_text(wrong)
         # a frame quantity is not a catalog observable: conj shifts its value
         from diracobs import frames
-        assert eval_text(f"conj({ref}; order=1)", cfg) == frames.conjugate(value, 1)
+        assert eval_text(f"conj({ref}; order=1)", 2) == frames.conjugate(value, 1)
 
     def test_frame_quantities_call_the_bound_frames_function(self, monkeypatch):
         from diracobs import frames
@@ -230,10 +229,11 @@ class TestEvaluation:
         assert calls == [(1, 2), (1, 3)]
 
     def test_alpha_max_matches_plain(self):
+        # exact=False truncates every product at the order, and the result
         plain = eval_text("conj(M; order=2)*conj(M; order=2)").alpha_truncate(2)
-        fast = eval_text("conj(M; order=2)*conj(M; order=2)",
-                         EvalConfig(order=2, alpha_max=2))
+        fast = eval_text("conj(M; order=2)*conj(M; order=2)", 2, exact=False)
         assert plain == fast
+        assert eval_text("i + alpha[0]", 0, exact=False) == eval_text("i")
 
 
 class TestCLI:

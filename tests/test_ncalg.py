@@ -123,6 +123,13 @@ class TestSeries:
         with pytest.raises(NotUnitalSeries):
             geometric_inverse(NCElement.x(0), 2)
 
+    def test_subst_alpha_takes_four_values(self):
+        for el in (Scalar.one(), Scalar.alpha(3), NCElement.zero(), one,
+                   NCElement.x(0) * Scalar.alpha(3)):
+            for values in ([7], [0, 1, 2], [0, 1, 2, 3, 4]):
+                with pytest.raises(ValueError, match="exactly four values"):
+                    el.subst_alpha(values)
+
     def test_alpha_truncate(self):
         a0 = Scalar.alpha(0)
         el = NCElement.x(0) * a0 + NCElement.x(0) * NCElement.x(0) * (a0 * a0)

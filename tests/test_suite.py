@@ -17,14 +17,13 @@ class TestManifestFormat:
     def test_basic_entry(self):
         entries = parse_manifest("XX := comm(Xh[1],Xh[2]) == S[1,2]*Minv2 @ exact\n")
         assert entries == [IdentityEntry("XX", "comm(Xh[1],Xh[2])",
-                                         "S[1,2]*Minv2", None, "XX")]
+                                         "S[1,2]*Minv2", None)]
 
     def test_entry_equality_tag_and_repr(self):
         entry = IdentityEntry("s2.x", "M", "M", None)
         assert entry.tag == "s2" and entry.binding is None
-        assert entry == IdentityEntry("s2.x", "M", "M", None, "s2")
+        assert entry == IdentityEntry("s2.x", "M", "M", None)
         assert entry != IdentityEntry("s2.x", "M", "M", 2)
-        assert IdentityEntry("s2.x", "M", "M", None, tag="t").tag == "t"
         assert repr(entry) == ("IdentityEntry(name='s2.x', lhs='M', rhs='M', "
                                "order=None, tag='s2', binding=None)")
 
@@ -155,6 +154,14 @@ class TestRunner:
         (control,) = negative_controls([entry])
         assert control.rhs == "1"
         assert run_suite([control])["entries"][0]["status"] == "fail"
+
+    def test_negative_control_decided_at_the_run_order(self):
+        # conj(M) - M vanishes at order 0 only, so a run at order 0 shifts by 1
+        (entry,) = parse_manifest("z := conj(M) - M == conj(M) - M @ exact\n", 0)
+        assert run_suite([entry], 0)["entries"][0]["status"] == "pass"
+        (control,) = negative_controls([entry], 0)
+        assert control.rhs == "1"
+        assert run_suite([control], 0)["entries"][0]["status"] == "fail"
 
     def test_whole_manifest_at_order_4(self):
         t0 = time.perf_counter()
