@@ -16,7 +16,7 @@ a parse error, and there is no division operator.  Functions:
 ``comm(a, b)``, ``dot(a, b)``, ``adj(a)``, ``pow(a, n)``, ``conj(a)`` /
 ``conj(a; order=N)`` and its inverse-parameter variant ``conjinv``.
 Exponents and orders are bounded by the work budgets ``MAX_POWER``,
-``MAX_MONOMIAL_POWER`` and ``MAX_ORDER``.
+``MAX_MONOMIAL_POWER``, ``MAX_NUMBER_DIGITS`` and ``MAX_ORDER``.
 
 Observable references use catalog names with lowered indices
 (``P[0]``, ``J[0,1]``, ``Xh[2]``, ``xc[3]``, ``gamma[1]``, ``gamma5``, ``M``,
@@ -243,6 +243,10 @@ MAX_POWER = 8
 #: possibly negated) has a one-monomial power.  Its budget is the span of a
 #: packed hbar exponent, so ``hbar^16384`` still reports its overflow.
 MAX_MONOMIAL_POWER = 1 << 15
+#: A number base with a numerator or denominator above 1 in absolute value
+#: grows in digits: its budget is this over the digits of the larger one, so
+#: the power prints within CPython's default 4300-digit int-string limit.
+MAX_NUMBER_DIGITS = 4300
 #: Largest truncation order of ``--order``, ``$DIRACOBS_ORDER``,
 #: ``conj(a; order=N)`` and a manifest's ``@ order N``.  A frame series
 #: costs ~2.5x more per order.
@@ -253,6 +257,10 @@ def _power_limit(base: "Node") -> int:
     """The exponent budget of ``base^n`` and ``pow(base, n)``."""
     while isinstance(base, Neg):
         base = base.a
+    if isinstance(base, Num):
+        big = max(abs(base.value.numerator), base.value.denominator)
+        if big > 1:
+            return MAX_NUMBER_DIGITS // len(str(big))
     return MAX_MONOMIAL_POWER if isinstance(base, (Num, Imag, Hbar, Alpha)) else MAX_POWER
 
 

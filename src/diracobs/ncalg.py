@@ -45,7 +45,10 @@ anticommuting case.  Normalisation by ``1/(i hbar)`` or ``1/2`` follows once.
 
 Adjoints are realized by :class:`Involution`: an antilinear anti-automorphism
 determined by images of the generators ``x_mu`` and ``g_mu`` (coefficients
-transform by complex conjugation).  The canonical involution of the model is
+transform by complex conjugation).  It memoises each monomial image as the
+image of the monomial with one generator fewer times that generator's image:
+the highest ``x_mu`` goes first, then the lowest ``g_a`` of the word, since
+``(g_a R)^+ = R^+ g_a^+``.  The canonical involution of the model is
 constructed in :mod:`~.observables`.
 """
 
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb
 
@@ -66,26 +70,20 @@ class NotUnitalSeries(ValueError):
     """geometric_inverse needs a series whose alpha-degree-0 part equals 1."""
 
 
+@lru_cache(maxsize=None)
 def _sub_indices(beta):
     """(gamma, beta - gamma, C(beta, gamma)) for all gamma <= beta, gamma = 0 first.
 
-    Cached per beta; C(beta, gamma) is the product of the binomials
-    C(beta_nu, gamma_nu).
+    C(beta, gamma) is the product of the binomials C(beta_nu, gamma_nu).
     """
-    cached = _sub_indices._cache.get(beta)
-    if cached is None:
-        cached = []
-        for g in _cartesian(*(range(e + 1) for e in beta)):
-            c = 1
-            for e, gi in zip(beta, g):
-                c *= comb(e, gi)
-            cached.append((g, tuple(e - gi for e, gi in zip(beta, g)), c))
-        cached = tuple(cached)
-        _sub_indices._cache[beta] = cached
-    return cached
+    out = []
+    for g in _cartesian(*(range(e + 1) for e in beta)):
+        c = 1
+        for e, gi in zip(beta, g):
+            c *= comb(e, gi)
+        out.append((g, tuple(e - gi for e, gi in zip(beta, g)), c))
+    return tuple(out)
 
-
-_sub_indices._cache = {}
 
 _HALF = Scalar.from_rational(Fraction(1, 2))
 
@@ -475,43 +473,38 @@ class Involution:
     where u^+ reverses the word and replaces each generator by its image,
     and (x^+)^beta is the product of image powers (the images commute for
     the canonical involution; the construction fixes the order mu = 0..3).
+
+    The image of each monomial ``(x, word)`` is memoised and costs one
+    product: the image without the highest ``x_mu`` times ``x_mu^+`` or, for
+    an empty x-part, the image without the word's lowest ``g_a`` times ``g_a^+``.
     """
 
     def __init__(self, x_images, gamma_images):
         self._xi = list(x_images)
         self._gi = list(gamma_images)
-        self._word_cache: dict = {0: NCElement.one()}
-        self._xpow_cache: dict = {_X0: NCElement.one()}
-        self._mono_cache: dict = {}
+        self._memo: dict = {(_X0, 0): NCElement.one()}
 
-    def _word_image(self, word: int) -> NCElement:
-        got = self._word_cache.get(word)
-        if got is None:
-            got = NCElement.one()
-            for mu in reversed(clifford.indices(word)):
-                got = got * self._gi[mu]
-            self._word_cache[word] = got
-        return got
-
-    def _xpart_image(self, x) -> NCElement:
-        got = self._xpow_cache.get(x)
-        if got is None:
-            got = NCElement.one()
-            for mu, e in enumerate(x):
-                for _ in range(e):
-                    got = got * self._xi[mu]
-            self._xpow_cache[x] = got
-        return got
-
-    def _mono_image(self, x, w) -> NCElement:
-        got = self._mono_cache.get((x, w))
-        if got is None:
-            got = self._word_image(w) * self._xpart_image(x)
-            self._mono_cache[(x, w)] = got
+    def _image(self, key) -> NCElement:
+        """Image of the monomial ``key = (x, word)``; a loop, not recursion,
+        as the recursion limit does not bound a monomial's x-degree."""
+        pending = []
+        got = self._memo.get(key)
+        while got is None:
+            x, w = key
+            if x != _X0:
+                mu = max(nu for nu in range(4) if x[nu])
+                pending.append((key, self._xi[mu]))
+                key = (x[:mu] + (x[mu] - 1,) + x[mu + 1:], w)
+            else:
+                pending.append((key, self._gi[(w & -w).bit_length() - 1]))
+                key = (x, w & (w - 1))
+            got = self._memo.get(key)
+        for key, factor in reversed(pending):
+            got = self._memo[key] = got * factor
         return got
 
     def __call__(self, el: NCElement) -> NCElement:
         out = NCElement.zero()
-        for (x, w), f in el._t.items():
-            out = out + NCElement.from_scalar(f.conj_i()) * self._mono_image(x, w)
+        for key, f in el._t.items():
+            out = out + NCElement.from_scalar(f.conj_i()) * self._image(key)
         return out

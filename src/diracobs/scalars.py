@@ -127,11 +127,6 @@ class GRat:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GRat._raw(self.d * self.a, -self.d * self.b, n)
 
-    def conj(self) -> "GRat":
-        out = GRat.__new__(GRat)
-        out.a, out.b, out.d = self.a, -self.b, self.d
-        return out
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 

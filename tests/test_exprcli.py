@@ -360,10 +360,25 @@ class TestCLI:
                      f"hbar^{exprcli.MAX_MONOMIAL_POWER + 1}", "pow(i, 100000)"):
             with pytest.raises(ParseError, match="is above the limit"):
                 parse(text)
+        # a number base other than 0 and +-1 grows in digits: its budget keeps
+        # the power printable, and the error comes at once
+        for text, at in (("(2/3)^32768", "1:7: exponent 32768"),
+                         ("pow(3/2, 20000)", "1:10: exponent 20000"),
+                         ("(-2)^32768", "1:6: exponent 32768")):
+            t0 = time.perf_counter()
+            assert main(["eval", text]) == 2
+            assert time.perf_counter() - t0 < 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {at} is above the limit {exprcli.MAX_NUMBER_DIGITS}")
+        with pytest.raises(ParseError, match="above the limit 1075"):
+            parse("(1/9999)^1076")
         # within budget: operator powers up to MAX_POWER, literal monomials further
         assert eval_text(f"pow(Xh[0], {exprcli.MAX_POWER})").x_degree() == exprcli.MAX_POWER
         assert eval_text("(-2)^40") == NCElement.from_scalar(Scalar.from_rational(2 ** 40))
+        assert eval_text("(-1)^32768") == NCElement.one()
         assert eval_text("i^20000") == NCElement.one()
+        assert eval_text("alpha[0]^32767").alpha_degree() == 32767
+        assert main(["eval", f"(2/3)^{exprcli.MAX_NUMBER_DIGITS}"]) == 0
 
     def test_power_reproducer_exits_fast(self):
         env = dict(os.environ)
