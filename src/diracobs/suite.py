@@ -30,8 +30,11 @@ accelerated-frame law."""
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import re
+import signal
+import sys
 import time
 from importlib import resources
 
@@ -220,12 +223,160 @@ def _evaluate_entry(e: IdentityEntry, order: int):
     return result
 
 
+#: Most items of a work queue.  The whole queue is written to a pipe before
+#: any worker reads it, so it must fit in one pipe buffer: 4 bytes an item.
+_QUEUE_ITEMS = 1024
+
+
+def _queue_items(entries) -> list:
+    """Entry indices grouped by family, the ``tag.family`` prefix of the name
+    (``s3.adj``), families in manifest order: the entries of one family share
+    cached frame quantities, so one worker runs them all.  Past
+    ``_QUEUE_ITEMS`` families, consecutive families share an item."""
+    families: dict = {}
+    for i, e in enumerate(entries):
+        families.setdefault(".".join(e.name.split(".", 2)[:2]), []).append(i)
+    groups = list(families.values())
+    step = max(1, -(-len(groups) // _QUEUE_ITEMS))
+    return [[i for group in groups[k:k + step] for i in group]
+            for k in range(0, len(groups), step)]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(items: int) -> int:
+    """One worker per usable CPU, at most one per queue item; one where
+    forking is unavailable or unsafe, because the process runs threads."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: the threads the threading module knows
+        threading = sys.modules.get("threading")
+        threads = threading.active_count() if threading else 1
+    return 1 if threads > 1 else max(1, min(_usable_cpus(), items))
+
+
+def _work(entries, order: int, items, queue: int, parent, done) -> None:
+    """Evaluate whole queue items until ``queue`` is empty, handing each
+    item's ``[(index, result), ...]`` to ``done``.  A forked worker, whose
+    ``parent`` is the forking process's pid, stops before its next item
+    once that process is gone; worker 0 passes None."""
+    while parent is None or os.getppid() == parent:
+        # the pipe holds whole 4-byte tokens only, so a read takes one token
+        token = os.read(queue, 4)
+        if not token:
+            return
+        done([(i, _evaluate_entry(entries[i], order))
+              for i in items[int.from_bytes(token, "little")]])
+
+
+def _child(entries, order: int, items, queue: int, parent: int, out: int):
+    """Body of a forked worker: one length-prefixed ``marshal`` message per
+    item on ``out``.  It ends in ``os._exit``, never returning into the
+    caller's stack nor flushing inherited stdio buffers, and exits non-zero
+    unless every message was written."""
+    code = 1
+    try:
+        def send(results):
+            data = marshal.dumps(results)
+            data = memoryview(len(data).to_bytes(4, "little") + data)
+            while data:
+                data = data[os.write(out, data):]
+        _work(entries, order, items, queue, parent, send)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(fd: int):
+    """The ``(index, result)`` pairs of every whole message a worker wrote,
+    read to end of file."""
+    data = bytearray()
+    while chunk := os.read(fd, 1 << 16):
+        data += chunk
+    pos = 0
+    while pos + 4 <= len(data):
+        size = int.from_bytes(data[pos:pos + 4], "little")
+        pos += 4
+        if pos + size > len(data):
+            return
+        yield from marshal.loads(data[pos:pos + size])
+        pos += size
+
+
+def _evaluate_all(entries, order: int) -> list:
+    """``_evaluate_entry`` of every entry, in entry order.
+
+    Whole families go to worker processes, one per usable CPU but no more
+    than there are families: each worker takes the next family from one
+    queue.  The caller forks the others and works as worker 0; with one
+    worker the same loop runs without a fork.  ChildProcessError if a worker
+    dies or loses results; the message names the entries without one."""
+    items = _queue_items(entries)
+    results = [None] * len(entries)
+
+    def keep(pairs):
+        for i, result in pairs:
+            results[i] = result
+
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
+    finally:
+        os.close(feed)
+    parent = os.getpid()
+    pipes, running, failed = [], [], []
+    try:
+        for _ in range(_worker_count(len(items)) - 1):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(entries, order, items, queue, parent, write)
+                running.append(pid)
+            finally:
+                os.close(write)
+        _work(entries, order, items, queue, None, keep)
+        for read in pipes:  # to end of file before waitpid: no full pipe blocks
+            keep(_receive(read))
+        for pid in tuple(running):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code:
+                failed.append(f"was killed by signal {-code}" if code < 0
+                              else f"exited with status {code}")
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in (queue, *pipes):
+            os.close(fd)
+    lost = [entries[i].name for i, result in enumerate(results) if result is None]
+    if failed or lost:
+        raise ChildProcessError(
+            f"a check worker {failed[0] if failed else 'lost results'}; "
+            f"entries without a result: {', '.join(lost) or 'none'}")
+    return results
+
+
 def run_suite(entries, order: int = DEFAULT_ORDER, name_filter: str | None = None):
-    """Evaluate entries in order and assemble the report."""
+    """Evaluate entries and assemble the report, entries in their order.
+
+    The report is the same for any number of workers (see ``_evaluate_all``)
+    apart from the ``ms`` timings: each entry's is measured in the worker
+    that ran it, and the total is wall time."""
     if name_filter:
         entries = [e for e in entries if e.name.startswith(name_filter)]
     t0 = time.perf_counter()
-    results = [_evaluate_entry(e, order) for e in entries]
+    results = _evaluate_all(entries, order)
     totals = {"pass": sum(r["status"] == "pass" for r in results),
               "fail": sum(r["status"] == "fail" for r in results),
               "error": sum(r["status"] == "error" for r in results),

@@ -407,6 +407,28 @@ class TestCLI:
         args = exprcli._build_argparser().parse_args(["check"])
         assert args.order == exprcli.MAX_ORDER
 
+    def test_budget_edges_at_parse(self):
+        # literal values, so that a changed MAX_POWER or MAX_ORDER fails here
+        assert parse("Xh[0]^8") == Pow(a=Ref(name="Xh", indices=(0,)), n=8)
+        assert parse("pow(Xh[0], 8)") == Pow(a=Ref(name="Xh", indices=(0,)), n=8)
+        for text in ("Xh[0]^9", "pow(Xh[0], 9)"):
+            with pytest.raises(ParseError, match="exponent 9 is above the limit 8"):
+                parse(text)
+        assert parse("conj(M; order=10)") == Conj(a=Ref(name="M"), order=10, inverse=False)
+        with pytest.raises(ParseError, match="order 11 is above the limit 10"):
+            parse("conj(M; order=11)")
+
+    @pytest.mark.parametrize("argv", [["eval", "M"], ["check"], ["conjugate", "M"]],
+                             ids=["eval", "check", "conjugate"])
+    def test_order_budget_edge(self, argv, capsys):
+        # argument level only: nothing is evaluated at order 10
+        parser = exprcli._build_argparser()
+        assert parser.parse_args(argv + ["--order", "10"]).order == 10
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv + ["--order", "11"])
+        assert exit_.value.code == 2
+        assert "error: argument --order: must be at most 10, got '11'" in capsys.readouterr().err
+
     def test_manifest_far_below_the_budgets(self):
         from diracobs.suite import load_default_manifest, parse_manifest
 

@@ -111,7 +111,9 @@ class TestSeries:
         u = one - ax * 2 + a2 * x2
         inv1 = geometric_inverse(u, 1)
         assert inv1 == one + ax * 2
-        for n in (1, 2, 3):
+        # orders 5 and 6 reach the k >= 5 terms, which no manifest check at
+        # order 4 or below does
+        for n in (1, 2, 3, 5, 6):
             assert mul_truncated(geometric_inverse(u, n), u, n) == one
 
     def test_geometric_inverse_identity(self):

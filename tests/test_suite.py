@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import signal
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from diracobs import suite
 from diracobs.exprcli import MAX_ORDER
 from diracobs.suite import (IdentityEntry, ManifestParseError, golden_snapshot,
                             load_default_manifest, negative_controls, parse_manifest,
@@ -56,6 +60,12 @@ class TestManifestFormat:
         with pytest.raises(ManifestParseError, match="above the limit") as err:
             parse_manifest(f"# big\na := conj(Xh[1]) == 0 @ order {MAX_ORDER + 1}\n")
         assert err.value.line == 2
+
+    def test_order_clause_budget_edge(self):
+        # literal values, so that a changed MAX_ORDER fails here
+        assert parse_manifest("a := M == M @ order 10\n")[0].order == 10
+        with pytest.raises(ManifestParseError, match="order 11 is above the limit 10"):
+            parse_manifest("a := M == M @ order 11\n")
 
     def test_binding_resolved_into_rhs(self):
         (e,) = parse_manifest("s2.w := W2*Minv2 == c + 0*c @ exact; c = -3/4*hbar^2"
@@ -228,6 +238,222 @@ def test_check_report_bytes_pinned():
     for order, digest in PINNED_MARKDOWN.items():
         md = report_markdown(run_suite(parse_manifest(text, order), order))
         assert hashlib.sha256(md.encode()).hexdigest() == digest, f"order {order}"
+
+
+TWO_FAMILIES = ("fa.one.a := M == M @ exact\n"
+                "fa.one.b := P[0] == P[0] @ exact\n"
+                "fa.two.a := D == D @ exact\n"
+                "fa.two.b := comm(P[0], P[1]) == 0 @ exact\n")
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the usable CPU count; returns the list of pids ``os.fork`` made."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: n)
+        return forked
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_family_each(monkeypatch):
+    """Make worker 0 and one forked worker run one family each: worker 0
+    waits in its first entry until the forked worker has begun its own.
+    The returned function takes ``change(result)``, applied to the forked
+    worker's results, and returns the names worker 0 evaluates."""
+    began, begin = os.pipe()
+
+    def split(change):
+        parent, real, done = os.getpid(), suite._evaluate_entry, []
+
+        def evaluate(e, order):
+            if os.getpid() != parent:
+                os.write(begin, b".")
+                return change(real(e, order))
+            if not done:
+                os.read(began, 1)
+            done.append(e.name)
+            return real(e, order)
+
+        monkeypatch.setattr(suite, "_evaluate_entry", evaluate)
+        return done
+
+    yield split
+    os.close(began)
+    os.close(begin)
+
+
+def exit_3(result):
+    os._exit(3)
+
+
+class TestParallelRunner:
+    def test_queue_items_are_whole_families_in_order(self):
+        entries = parse_manifest(TWO_FAMILIES + "s4.spinmag := M == M @ exact\n")
+        assert suite._queue_items(entries) == [[0, 1], [2, 3], [4]]
+        many = [IdentityEntry(f"t.f{k}.{j}", "M", "M", None)
+                for k in range(3000) for j in range(2)]
+        items = suite._queue_items(many)
+        assert len(items) <= suite._QUEUE_ITEMS
+        assert [i for item in items for i in item] == list(range(len(many)))
+        assert all(len(item) % 2 == 0 for item in items)
+
+    def test_threads_force_one_worker(self, workers):
+        workers(4)
+        assert suite._worker_count(3) == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert suite._worker_count(3) == 1
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_reports_identical_for_any_worker_count(self, workers):
+        entries = parse_manifest(load_default_manifest(), 3)
+        forked = workers(2)
+        many = run_suite(entries, 3)
+        assert len(forked) == 1
+        workers(1)
+        one = run_suite(entries, 3)
+        assert len(forked) == 1
+        assert report_markdown(one) == report_markdown(many)
+
+        def without_ms(report):
+            data = json.loads(report_json(report))
+            del data["totals"]["ms"]
+            for r in data["entries"]:
+                del r["ms"]
+            return data
+
+        assert without_ms(one) == without_ms(many)
+        assert one["totals"]["pass"] == 644
+        assert_no_child_left()
+
+    def test_each_entry_runs_once_with_more_workers_than_cpus(self, workers, monkeypatch):
+        entries = parse_manifest("".join(f"t.f{k}.{j} := M == M @ exact\n"
+                                         for k in range(40) for j in range(2)))
+        names = sorted(e.name for e in entries)
+        log, log_in = os.pipe()
+        real = suite._evaluate_entry
+
+        def evaluate(e, order):
+            os.write(log_in, f"{e.name}\n".encode())  # one write below PIPE_BUF
+            return real(e, order)
+
+        monkeypatch.setattr(suite, "_evaluate_entry", evaluate)
+        forked = workers(8)
+        try:
+            report = run_suite(entries)
+        finally:
+            os.close(log_in)
+        with os.fdopen(log) as fh:
+            ran = sorted(fh.read().split())
+        assert len(forked) == 7
+        assert ran == names
+        assert [r["name"] for r in report["entries"]] == [e.name for e in entries]
+        assert report["totals"]["pass"] == 80
+        assert_no_child_left()
+
+    def test_orphaned_worker_stops_before_its_next_family(self, workers, monkeypatch):
+        entries = parse_manifest("".join(f"t.f{k}.a := M == M @ exact\n" for k in range(6)))
+        log, log_in = os.pipe()
+        go, go_in = os.pipe()
+        checker = []  # the pid of the process that runs run_suite, once forked
+
+        def evaluate(e, order):
+            os.write(log_in, f"{os.getpid()} {e.name}\n".encode())
+            if os.getpid() == checker[0]:
+                time.sleep(60)  # worker 0 is killed here
+            os.read(go, 1)
+            return {"name": e.name, "tag": e.tag, "order": "exact", "status": "pass",
+                    "residual": "", "ms": 0.0}
+
+        monkeypatch.setattr(suite, "_evaluate_entry", evaluate)
+        workers(2)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                checker.append(os.getpid())
+                run_suite(entries)
+            finally:
+                os._exit(0)
+        os.close(log_in)
+        try:
+            with os.fdopen(log) as fh:
+                first = [fh.readline(), fh.readline()]  # each worker has begun a family
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pid = None
+                os.write(go_in, b"x" * len(entries))  # enough for every family left
+                rest = fh.read()  # end of file: the orphaned worker has exited
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(go_in)  # a worker still waiting reads end of file
+            os.close(go)
+        assert len({line.split()[0] for line in first}) == 2
+        assert rest == ""
+        assert_no_child_left()
+
+    def test_large_results_cross_the_pipe(self, workers, one_family_each):
+        # far more than a pipe buffer holds: the worker blocks in its write
+        # until worker 0 has finished its own family and reads
+        big = "x" * 300_000
+        one_family_each(lambda result: {**result, "status": "fail", "residual": big})
+        forked = workers(2)
+        report = run_suite(parse_manifest(TWO_FAMILIES))
+        assert len(forked) == 1
+        assert [r["name"] for r in report["entries"]] == ["fa.one.a", "fa.one.b",
+                                                          "fa.two.a", "fa.two.b"]
+        assert sorted(r["residual"] for r in report["entries"]) == ["", "", big, big]
+        assert_no_child_left()
+
+    def test_dead_worker_names_its_entries(self, workers, one_family_each):
+        done = one_family_each(exit_3)
+        forked = workers(2)
+        with pytest.raises(ChildProcessError) as error:
+            run_suite(parse_manifest(TWO_FAMILIES))
+        assert len(forked) == 1
+        lost = [n for n in ("fa.one.a", "fa.one.b", "fa.two.a", "fa.two.b")
+                if n not in done]
+        assert len(lost) == 2 and lost[0][:6] == lost[1][:6]
+        assert str(error.value) == ("a check worker exited with status 3; "
+                                    f"entries without a result: {', '.join(lost)}")
+        assert_no_child_left()
+
+    def test_dead_worker_is_one_error_line(self, workers, one_family_each, tmp_path,
+                                           capsys):
+        from diracobs.exprcli import main
+        manifest = tmp_path / "two.txt"
+        manifest.write_text(TWO_FAMILIES, encoding="utf-8")
+        one_family_each(exit_3)
+        workers(2)
+        assert main(["check", "--manifest", str(manifest)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a check worker exited with status 3; ")
+        assert err.count("\n") == 1
+        assert_no_child_left()
 
 
 class TestGoldenSnapshots:
