@@ -532,7 +532,7 @@ _FRAME_QUANTITIES = {
     "vb": (2, lambda f, order, m, n: f.vierbein(m, n)),
     "vbraw": (2, lambda f, order, m, n: f.vierbein_raw(m, n, order)),
     "dvb": (3, lambda f, order, r, m, n: f.xderiv_up(f.vierbein(m, n), r)),
-    "dxbar": (2, lambda f, order, m, r: f.xderiv(f.xbar_up(r, order), m)),
+    "dxbar": (2, lambda f, order, m, r: f.dxbar(m, r, order)),
     "Evb": (2, lambda f, order, m, n: f.E(m, n)),
     "EvbL": (2, lambda f, order, m, n: f.E_left(m, n)),
     "dEvb": (3, lambda f, order, r, m, n: f.on_hermitian_positions(

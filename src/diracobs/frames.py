@@ -124,6 +124,12 @@ def xbar_up(mu: int, order: int) -> NCElement:
     return xbar(mu, order) * eta(mu)
 
 
+@lru_cache(maxsize=None)
+def dxbar(mu: int, rho: int, order: int) -> NCElement:
+    """d x_bar^rho / dx^mu: the lowered derivative of the raised shifted position."""
+    return xderiv(xbar_up(rho, order), mu)
+
+
 # ---------------------------------------------------------------------------
 # Commutative position calculus
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ the closed product formula used by :meth:`NCElement.__mul__`:
                  (-i*hbar)^|gamma| d^gamma f / dp^gamma.
 
 The product is computed as accumulate-then-reduce: each left coefficient's
-shifted derivatives ``(-i*hbar)^|gamma| d^gamma f`` are built once, every
-monomial pair adds its unreduced coefficient products, scaled by the integer
-``C(beta, gamma)`` times the Clifford sign, into raw accumulators per output
-monomial, and each output coefficient is reduced once at the end.  The
-truncated products (:func:`mul_truncated`) are the same routine with an
-alpha-degree bound.
+shifted derivatives ``(-i*hbar)^|gamma| d^gamma f`` are built once and left
+unreduced, every monomial pair adds its unreduced coefficient products,
+scaled by the integer ``C(beta, gamma)`` times the Clifford sign, into raw
+accumulators per output monomial, and each output coefficient is reduced
+once at the end.  The truncated products (:func:`mul_truncated`) are the
+same routine with an alpha-degree bound.
 
 The quantum bracket is ``(a, b) = (a b - b a)/(i hbar)`` and the symmetrised
 product is ``a . b = (a b + b a)/2``.  Neither builds two products: the same
@@ -41,27 +41,31 @@ term cancels exactly for commuting words and is added once, doubled, for
 anticommuting ones (the symmetrised product swaps the two cases).  This is
 the standard-ordering form of the star commutator having no hbar^0 term
 (Groenewold 1946, Moyal 1949), with the Clifford words adding the
-anticommuting case.  Normalisation by ``1/(i hbar)`` or ``1/2`` follows once.
+anticommuting case.  The ``1/(i hbar)`` or ``1/2`` is applied in the same
+finishing pass that reduces each output coefficient: ``1/(i hbar)`` rotates
+every raw coefficient by ``-i`` and lowers its hbar exponent by one, ``1/2``
+doubles its denominator.
 
 Adjoints are realized by :class:`Involution`: an antilinear anti-automorphism
 determined by images of the generators ``x_mu`` and ``g_mu`` (coefficients
 transform by complex conjugation).  It memoises each monomial image as the
 image of the monomial with one generator fewer times that generator's image:
 the highest ``x_mu`` goes first, then the lowest ``g_a`` of the word, since
-``(g_a R)^+ = R^+ g_a^+``.  The canonical involution of the model is
-constructed in :mod:`~.observables`.
+``(g_a R)^+ = R^+ g_a^+``.  The products of the conjugated coefficients with
+their images go into one accumulator, which is reduced once.  The canonical
+involution of the model is constructed in :mod:`~.observables`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb
 
 from . import clifford
-from .scalars import GRat, Scalar, _coerce as _coerce_scalar, _finish_parts, _mul_parts
+from .scalars import (_FIELD, _GUARD, GRat, Scalar, _coerce as _coerce_scalar,
+                      _finish_parts, _mul_parts, _overflow, _pderiv_acc)
 
 _X0 = (0, 0, 0, 0)
 
@@ -83,9 +87,6 @@ def _sub_indices(beta):
             c *= comb(e, gi)
         out.append((g, tuple(e - gi for e, gi in zip(beta, g)), c))
     return tuple(out)
-
-
-_HALF = Scalar.from_rational(Fraction(1, 2))
 
 
 class NCElement:
@@ -208,8 +209,16 @@ class NCElement:
         return NCElement({k: v * s for k, v in self._t.items()})
 
     def _mul_impl(self, other: "NCElement", amax, sym: int = 0) -> "NCElement":
-        """``ab``, ``ab - ba`` or ``ab + ba`` for ``sym`` = 0, -1 or +1, as one
-        multiply-accumulate.
+        """``ab``, ``(ab - ba)/(i hbar)`` or ``(ab + ba)/2`` for ``sym`` = 0,
+        -1 or +1: one multiply-accumulate (:meth:`_mul_acc`) and one finishing
+        pass (:func:`_finish_acc`)."""
+        acc = defaultdict(_new_slot)
+        self._mul_acc(acc, other, amax, sym)
+        return _finish_acc(acc, amax, sym)
+
+    def _mul_acc(self, acc, other: "NCElement", amax, sym: int = 0) -> None:
+        """Add ``ab``, ``ab - ba`` or ``ab + ba`` for ``sym`` = 0, -1 or +1,
+        unreduced, into ``acc``, a ``defaultdict(_new_slot)`` the caller owns.
 
         Every output key ``(x-exponents, word)`` owns three raw accumulators
         for ``A + B*p0 + BB*p0^2``.  A monomial pair of ``a = x^xa u fa`` and
@@ -226,13 +235,10 @@ class NCElement:
         - for ``sym != 0``, the gamma != 0 terms of ``ba`` the same way from a
           memo of ``fb``'s shifted derivatives, scaled by ``sym*s_ba``.
 
-        Each memo is filled once per left or right term.  Each key is
-        reduced once at the end, which is also where p0^2 is rewritten and
-        exponent overflow is caught.  With ``amax`` set, pairs whose joint
-        minimal alpha-degree exceeds it are skipped and the result is
-        truncated at alpha-degree ``amax``.
+        Each memo is filled once per left or right term and holds unreduced
+        Scalars that never leave this call.  With ``amax`` set, pairs whose
+        joint minimal alpha-degree exceeds it are skipped.
         """
-        acc = defaultdict(_new_slot)
         table = clifford._TABLE
         truncating = amax is not None
         # Right terms with their gamma != 0 sub-indices and, when ``ba`` has
@@ -278,14 +284,6 @@ class NCElement:
                             continue
                         key = ((xb0 + r0, xb1 + r1, xb2 + r2, xb3 + r3), uc)
                         _mul_parts(acc[key], dfb, fa, c * c_ba)
-        out = {}
-        for key, slot in acc.items():
-            s = _finish_parts(slot)
-            if truncating:
-                s = s.alpha_truncate(amax)
-            if not s.is_zero:
-                out[key] = s
-        return NCElement(out, normalize=False)
 
     def __rmul__(self, other) -> "NCElement":
         if isinstance(other, Scalar):
@@ -381,11 +379,28 @@ def _new_slot():
     return ({}, {}, {})
 
 
+def _finish_acc(acc, amax=None, norm: int = 0) -> NCElement:
+    """The element of an accumulator of :meth:`NCElement._mul_acc`, each
+    coefficient reduced once, truncated at alpha-degree ``amax`` when it is
+    set, and times 1, ``1/(i hbar)`` or ``1/2`` for ``norm`` = 0, -1 or +1.
+
+    This is where p0^2 is rewritten and exponent overflow is caught."""
+    lim = _FIELD if amax is None else amax
+    out = {}
+    for key, slot in acc.items():
+        s = _finish_parts(slot, lim, norm)
+        if not s.is_zero:
+            out[key] = s
+    return NCElement(out, normalize=False)
+
+
 def _shifted_derivative(memo: dict, g):
     """(-i*hbar)^|g| d^g f for f = memo[(0,0,0,0)], filling the memo on the way.
 
     The shift commutes with d/dp, so each entry is its parent's derivative
-    shifted by one more factor of -i*hbar.
+    shifted by one more factor of -i*hbar, built in one pass over the
+    parent's terms.  Zeros are dropped and the guards checked, but nothing is
+    gcd-reduced: the entry is only read by products that reduce their output.
     """
     for j in range(3, -1, -1):
         if g[j]:
@@ -396,11 +411,18 @@ def _shifted_derivative(memo: dict, g):
     base = memo.get(parent)
     if base is None:
         base = _shifted_derivative(memo, parent)
-    val = base.pderiv(j)
-    if not val.is_zero:
-        val = val.mih_shift(1, 1)
+    a, b = _pderiv_acc(base._a, base._b, j, True)
+    val = Scalar(_nonzero_checked(a), _nonzero_checked(b), 0, False)
     memo[g] = val
     return val
+
+
+def _nonzero_checked(acc: dict) -> dict:
+    """The nonzero terms of a raw accumulator, its keys guard-checked."""
+    for k in acc:
+        if k & _GUARD:
+            _overflow()
+    return {k: c for k, c in acc.items() if c[0] or c[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +453,14 @@ def bracket_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
     """(a, b) truncated at alpha-degree n, from one fused ``ab - ba``.
 
     With ``n=None`` it is the plain bracket :func:`bracket`."""
-    # 1/(i*hbar) = -(-i*hbar)^-1
-    raw = a._mul_impl(b, n, -1)
-    return NCElement({k: s.mih_shift(-1, -1) for k, s in raw._t.items()}, normalize=False)
+    return a._mul_impl(b, n, -1)
 
 
 def dot_truncated(a: NCElement, b: NCElement, n: int | None) -> NCElement:
     """a . b truncated at alpha-degree n, from one fused ``ab + ba``.
 
     With ``n=None`` it is the plain symmetrised product :func:`dot`."""
-    return a._mul_impl(b, n, 1) * _HALF
+    return a._mul_impl(b, n, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +497,9 @@ class Involution:
     The image of each monomial ``(x, word)`` is memoised and costs one
     product: the image without the highest ``x_mu`` times ``x_mu^+`` or, for
     an empty x-part, the image without the word's lowest ``g_a`` times ``g_a^+``.
+    An element's adjoint adds ``conj(f) * image`` for all its monomials into
+    one accumulator and reduces each output coefficient once, in the
+    finishing pass of the product.
     """
 
     def __init__(self, x_images, gamma_images):
@@ -504,7 +527,7 @@ class Involution:
         return got
 
     def __call__(self, el: NCElement) -> NCElement:
-        out = NCElement.zero()
+        acc = defaultdict(_new_slot)
         for key, f in el._t.items():
-            out = out + NCElement.from_scalar(f.conj_i()) * self._image(key)
-        return out
+            NCElement.from_scalar(f.conj_i())._mul_acc(acc, self._image(key), None)
+        return _finish_acc(acc)

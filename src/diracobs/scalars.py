@@ -237,12 +237,31 @@ def _reduce(acc: dict) -> dict:
     return out
 
 
-def _finish(acc: dict) -> dict:
-    """Reduced nonzero terms of a packed-key accumulator; checks the guards."""
+def _finish(acc: dict, amax: int = _FIELD, norm: int = 0) -> dict:
+    """Reduced nonzero terms of a packed-key accumulator; checks the guards.
+
+    Terms of alpha-degree above ``amax`` are dropped, and the others are
+    scaled by 1, ``1/(i*hbar)`` or ``1/2`` for ``norm`` = 0, -1 or +1 as they
+    are reduced.
+    """
     for k in acc:
         if k & _GUARD:
             _overflow()
-    return _reduce(acc)
+    out = {}
+    for k, (a, b, d) in acc.items():
+        if not (a or b) or k >> _DEG_SHIFT > amax:
+            continue
+        if norm < 0:
+            # 1/(i*hbar) = -i * hbar^-1
+            a, b = b, -a
+            k -= _H
+            if k & _GUARD:
+                _overflow()
+        elif norm:
+            d *= 2
+        g = _gcd(a, b, d)
+        out[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+    return out
 
 
 def _mul_into(acc: dict, P: dict, Q: dict, c: int = 1) -> None:
@@ -296,12 +315,13 @@ def _mul_parts(acc: tuple, f: "Scalar", g: "Scalar", c: int = 1) -> None:
             _mul_into(BB, B1, B2, c)
 
 
-def _finish_parts(acc: tuple) -> "Scalar":
-    """The Scalar ``A + B*p0 + BB*p0^2`` of an accumulator, p0^2 rewritten."""
+def _finish_parts(acc: tuple, amax: int = _FIELD, norm: int = 0) -> "Scalar":
+    """The Scalar ``A + B*p0 + BB*p0^2`` of an accumulator, p0^2 rewritten,
+    finished by :func:`_finish` with ``amax`` and ``norm``."""
     A, B, BB = acc
     if BB:
         _add_p0sq_into(A, _finish(BB))
-    return Scalar(_finish(A), _finish(B), 0, False)
+    return Scalar(_finish(A, amax, norm), _finish(B, amax, norm), 0, False)
 
 
 def _add_p0sq_into(acc: dict, P: dict) -> None:
@@ -349,6 +369,51 @@ def _grat(c: tuple) -> GRat:
     out = GRat.__new__(GRat)
     out.a, out.b, out.d = c
     return out
+
+
+def _pderiv_acc(A: dict, B: dict, nu: int, mih: bool = False):
+    """Unreduced accumulators ``(a, b)`` of ``d/dp^nu (A + B*p0)``, times
+    ``-i*hbar`` with ``mih``; :meth:`Scalar.pderiv` reduces them.
+
+    With ``mih`` each input term is multiplied by -i*hbar before it is
+    differentiated: d/dp^nu commutes with that factor.
+    """
+    a: dict = {}
+    b: dict = {}
+    if nu == 0:
+        # d/dp0 (A + B p0) = B + (p0/w)(A_w + B_w p0), where p0^2 * B_w/w
+        # = (w^2 + p1^2 + p2^2 + p3^2) * B_w/w.
+        for k, (x, y, d) in B.items():
+            if mih:
+                k, x, y = k + _H, y, -x
+            _acc(a, k, x, y, d)
+            e = _wexp(k)
+            if e:
+                k2 = k - 2 * _W
+                for s in _P0SQ:
+                    _acc(a, k2 + s, x * e, y * e, d)
+        for k, (x, y, d) in A.items():
+            e = _wexp(k)
+            if e:
+                if mih:
+                    k, x, y = k + _H, y, -x
+                _acc(b, k - 2 * _W, x * e, y * e, d)
+    else:
+        # p_nu = -p^nu for a spatial nu.
+        shift = _P_SHIFT[nu]
+        down = 1 << shift
+        up = down - 2 * _W
+        for P, out in ((A, a), (B, b)):
+            for k, (x, y, d) in P.items():
+                if mih:
+                    k, x, y = k + _H, y, -x
+                e = (k >> shift) & _FIELD
+                if e:
+                    _acc(out, k - down, x * e, y * e, d)
+                e = _wexp(k)
+                if e:
+                    _acc(out, k + up, -x * e, -y * e, d)
+    return a, b
 
 
 @lru_cache(maxsize=None)
@@ -582,36 +647,7 @@ class Scalar:
         """
         if self.is_zero:
             return self
-        A, B = self._a, self._b
-        a: dict = {}
-        b: dict = {}
-        if nu == 0:
-            # d/dp0 (A + B p0) = B + (p0/w)(A_w + B_w p0), where p0^2 * B_w/w
-            # = (w^2 + p1^2 + p2^2 + p3^2) * B_w/w.
-            for k, (x, y, d) in B.items():
-                _acc(a, k, x, y, d)
-                e = _wexp(k)
-                if e:
-                    k2 = k - 2 * _W
-                    for s in _P0SQ:
-                        _acc(a, k2 + s, x * e, y * e, d)
-            for k, (x, y, d) in A.items():
-                e = _wexp(k)
-                if e:
-                    _acc(b, k - 2 * _W, x * e, y * e, d)
-        else:
-            # p_nu = -p^nu for a spatial nu.
-            shift = _P_SHIFT[nu]
-            down = 1 << shift
-            up = down - 2 * _W
-            for P, out in ((A, a), (B, b)):
-                for k, (x, y, d) in P.items():
-                    e = (k >> shift) & _FIELD
-                    if e:
-                        _acc(out, k - down, x * e, y * e, d)
-                    e = _wexp(k)
-                    if e:
-                        _acc(out, k + up, -x * e, -y * e, d)
+        a, b = _pderiv_acc(self._a, self._b, nu)
         return Scalar(_finish(a), _finish(b), 0, False)
 
     def conj_i(self) -> "Scalar":

@@ -1,14 +1,17 @@
 """Adjoint: oracle derivation of the generator images and involution laws."""
 
 import itertools
+import random
 
 import pytest
 
+from diracobs import clifford
 from diracobs import observables as obs
 from diracobs.ncalg import Involution, NCElement, bracket
 from diracobs.scalars import Scalar
 
 from adjoint_oracle import derive_involution_images
+from test_product import _element
 
 adj = obs.adjoint
 
@@ -124,3 +127,46 @@ class TestHermiticitySuite:
         for m in range(4):
             assert adj(obs.V(m)) == obs.V(m)
             assert adj(obs.gamma(m)) == obs.V(m) * 2 - obs.gamma(m)
+
+
+def _image_from_generators(key) -> NCElement:
+    """(x^beta u)^+ = u^+ (x^+)^beta: the word's generator images in reverse
+    order, then the x images for mu = 0..3, multiplied one at a time."""
+    x, w = key
+    out = NCElement.one()
+    for a in reversed(clifford.indices(w)):
+        out = out * obs._gamma_image(a)
+    for mu in range(4):
+        for _ in range(x[mu]):
+            out = out * obs._x_image(mu)
+    return out
+
+
+def _adjoint_by_sum(el: NCElement) -> NCElement:
+    """The adjoint as a sum of one reduced product per monomial."""
+    out = NCElement.zero()
+    for key, f in el._t.items():
+        out = out + NCElement.from_scalar(f.conj_i()) * _image_from_generators(key)
+    return out
+
+
+class TestFusedAdjoint:
+    """The adjoint accumulates every monomial's product into one sum; it must
+    equal the sum of the reduced products."""
+
+    def test_matches_sum_of_products(self):
+        rng = random.Random(11)
+        for _ in range(6):
+            words = rng.sample(range(16), 3)
+            el = _element(rng, words)
+            assert adj(el) == _adjoint_by_sum(el)
+
+    def test_images_sharing_output_keys(self):
+        # x0 g1 and x0 g2 map to g1^+ x0^+ and g2^+ x0^+; both images hold
+        # the words of V(1) and V(2), so their products meet on shared keys
+        rng = random.Random(5)
+        el = _element(rng, (0b0010, 0b0100))
+        el = NCElement({((1, 0, 0, 0), w): f for (_x, w), f in el._t.items()})
+        keys = [set(_image_from_generators(k)._t) for k in el._t]
+        assert len(keys) == 2 and keys[0] & keys[1]
+        assert adj(el) == _adjoint_by_sum(el)

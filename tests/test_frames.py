@@ -114,6 +114,13 @@ class TestPositionLaw:
         eval_text("conj(xc[0]; order=3)")
         assert F.conjugate_named.cache_info().misses == 1
 
+    def test_dxbar_built_once_per_index_pair(self):
+        F.dxbar.cache_clear()
+        for _ in range(2):
+            got = eval_text("dxbar[1,2]", 2)
+        assert got == F.xderiv(F.xbar_up(2, 2), 1)
+        assert F.dxbar.cache_info().misses == 1
+
     def test_shift_stays_in_x_subalgebra(self):
         for mu in range(4):
             el = F.xbar(mu, 3)

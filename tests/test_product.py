@@ -242,10 +242,35 @@ class TestProductOverflow:
     def test_reordering_shift_overflows(self):
         # The -i*hbar of the rewrite lifts hbar^top past the field.
         f = NCElement.from_scalar(Scalar.hbar(self.top) * Scalar.p(0))
+        x0 = NCElement.x(0)
         with pytest.raises(ExponentOverflow):
-            f * NCElement.x(0)
+            f * x0
         with pytest.raises(ExponentOverflow):
-            mul_truncated(f, NCElement.x(0), 2)
+            mul_truncated(f, x0, 2)
+        for fused in (bracket_truncated, dot_truncated):
+            with pytest.raises(ExponentOverflow):
+                fused(f, x0, 2)
+            with pytest.raises(ExponentOverflow):
+                fused(x0, f, 2)
+
+    def test_reordering_shift_overflows_before_the_product(self):
+        # hbar^-1 on the right would bring hbar^(top+1) back into range, but
+        # the shifted derivative that carries it is already out of range.
+        f = NCElement.from_scalar(Scalar.hbar(self.top) * Scalar.p(0))
+        g = NCElement.x(0) * Scalar.hbar(-1)
+        with pytest.raises(ExponentOverflow):
+            f * g
+        # the derivative of the right operand's coefficient, in ``ba``
+        with pytest.raises(ExponentOverflow):
+            bracket_truncated(g, f, None)
+
+    def test_bracket_normaliser_overflows(self):
+        # 1/(i*hbar) lowers hbar^-top-1 below the field.
+        g0 = NCElement.gamma(0)
+        with pytest.raises(ExponentOverflow):
+            bracket(g0 * Scalar.hbar(-self.top - 1), NCElement.gamma(1))
+        got = bracket(g0 * Scalar.hbar(-self.top), NCElement.gamma(1))
+        assert got.render() == f"1 | g0 g1 | -2*i*hbar^-{self.top + 1}"
 
     def test_coefficient_product_overflows(self):
         f = NCElement.from_scalar(Scalar.hbar(self.top))
