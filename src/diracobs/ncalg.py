@@ -25,10 +25,11 @@ the closed product formula used by :meth:`NCElement.__mul__`:
 The product is computed as accumulate-then-reduce: each left coefficient's
 shifted derivatives ``(-i*hbar)^|gamma| d^gamma f`` are built once and left
 unreduced, every monomial pair adds its unreduced coefficient products,
-scaled by the integer ``C(beta, gamma)`` times the Clifford sign, into raw
-accumulators per output monomial, and each output coefficient is reduced
-once at the end.  The truncated products (:func:`mul_truncated`) are the
-same routine with an alpha-degree bound.
+scaled by the integer ``C(beta, gamma)`` times the Clifford sign, into one
+raw packed-key dict per output monomial, and each output coefficient is
+reduced once at the end, where ``p0^2`` is rewritten.  The truncated
+products (:func:`mul_truncated`) are the same routine with an alpha-degree
+bound.
 
 The quantum bracket is ``(a, b) = (a b - b a)/(i hbar)`` and the symmetrised
 product is ``a . b = (a b + b a)/2``.  Neither builds two products: the same
@@ -64,8 +65,8 @@ from itertools import product as _cartesian
 from math import comb
 
 from . import clifford
-from .scalars import (_FIELD, _GUARD, GRat, Scalar, _coerce as _coerce_scalar,
-                      _finish_parts, _mul_parts, _overflow, _pderiv_acc)
+from .scalars import (Scalar, _coerce as _coerce_scalar, _finish, _mul_into,
+                      _shifted_pderiv)
 
 _X0 = (0, 0, 0, 0)
 
@@ -212,16 +213,17 @@ class NCElement:
         """``ab``, ``(ab - ba)/(i hbar)`` or ``(ab + ba)/2`` for ``sym`` = 0,
         -1 or +1: one multiply-accumulate (:meth:`_mul_acc`) and one finishing
         pass (:func:`_finish_acc`)."""
-        acc = defaultdict(_new_slot)
+        acc = defaultdict(dict)
         self._mul_acc(acc, other, amax, sym)
         return _finish_acc(acc, amax, sym)
 
     def _mul_acc(self, acc, other: "NCElement", amax, sym: int = 0) -> None:
         """Add ``ab``, ``ab - ba`` or ``ab + ba`` for ``sym`` = 0, -1 or +1,
-        unreduced, into ``acc``, a ``defaultdict(_new_slot)`` the caller owns.
+        unreduced, into ``acc``, a ``defaultdict(dict)`` the caller owns.
 
-        Every output key ``(x-exponents, word)`` owns three raw accumulators
-        for ``A + B*p0 + BB*p0^2``.  A monomial pair of ``a = x^xa u fa`` and
+        Every output key ``(x-exponents, word)`` owns one raw packed-key dict
+        of its coefficient, which may hold p0^2 until :func:`_finish_acc`
+        rewrites it.  A monomial pair of ``a = x^xa u fa`` and
         ``b = x^xb v fb`` adds, with ``uv = s_ab w`` and ``vu = s_ba w``:
 
         - the gamma = 0 term ``x^(xa+xb) w fa fb`` once, scaled by
@@ -236,18 +238,19 @@ class NCElement:
           memo of ``fb``'s shifted derivatives, scaled by ``sym*s_ba``.
 
         Each memo is filled once per left or right term and holds unreduced
-        Scalars that never leave this call.  With ``amax`` set, pairs whose
-        joint minimal alpha-degree exceeds it are skipped.
+        packed-key dicts that never leave this call.  With ``amax`` set, pairs
+        whose joint minimal alpha-degree exceeds it are skipped.
         """
         table = clifford._TABLE
         truncating = amax is not None
         # Right terms with their gamma != 0 sub-indices and, when ``ba`` has
         # gamma != 0 terms, a memo of their shifted derivatives.
-        rterms = [(xb, ub, fb, fb.alpha_min_degree() if truncating else 0,
-                   _sub_indices(xb)[1:], {_X0: fb} if sym and not fb.p_free else None)
+        rterms = [(xb, ub, fb._t, fb.alpha_min_degree() if truncating else 0,
+                   _sub_indices(xb)[1:], {_X0: fb._t} if sym and not fb.p_free else None)
                   for (xb, ub), fb in other._t.items()]
         for (xa, ua), fa in self._t.items():
-            memo = {_X0: fa}
+            ta = fa._t
+            memo = {_X0: ta}
             row = table[ua]
             # No p/w dependence on the left: only gamma = 0 terms of ab.
             pfree = fa.p_free
@@ -255,7 +258,7 @@ class NCElement:
             xa0, xa1, xa2, xa3 = xa
             # gamma != 0 terms of ba: gamma <= xa
             subs_ba = _sub_indices(xa)[1:] if sym else ()
-            for xb, ub, fb, fb_min, subs, memo_b in rterms:
+            for xb, ub, tb, fb_min, subs, memo_b in rterms:
                 if truncating and fa_min + fb_min > amax:
                     continue
                 s_ab, uc = row[ub]
@@ -264,26 +267,26 @@ class NCElement:
                 xb0, xb1, xb2, xb3 = xb
                 if c0:
                     key = ((xa0 + xb0, xa1 + xb1, xa2 + xb2, xa3 + xb3), uc)
-                    _mul_parts(acc[key], fa, fb, c0)
+                    _mul_into(acc[key], ta, tb, c0)
                 if not pfree:
                     # gamma <= xb, with xb - gamma and the binomial C(xb, gamma)
                     for g, (r0, r1, r2, r3), c in subs:
                         dfa = memo.get(g)
                         if dfa is None:
                             dfa = _shifted_derivative(memo, g)
-                        if dfa.is_zero:
+                        if not dfa:
                             continue
                         key = ((xa0 + r0, xa1 + r1, xa2 + r2, xa3 + r3), uc)
-                        _mul_parts(acc[key], dfa, fb, c * s_ab)
+                        _mul_into(acc[key], dfa, tb, c * s_ab)
                 if subs_ba and memo_b is not None:
                     for g, (r0, r1, r2, r3), c in subs_ba:
                         dfb = memo_b.get(g)
                         if dfb is None:
                             dfb = _shifted_derivative(memo_b, g)
-                        if dfb.is_zero:
+                        if not dfb:
                             continue
                         key = ((xb0 + r0, xb1 + r1, xb2 + r2, xb3 + r3), uc)
-                        _mul_parts(acc[key], dfb, fa, c * c_ba)
+                        _mul_into(acc[key], dfb, ta, c * c_ba)
 
     def __rmul__(self, other) -> "NCElement":
         if isinstance(other, Scalar):
@@ -329,7 +332,7 @@ class NCElement:
             if alias_gamma5 and w == clifford.GAMMA5_WORD:
                 # i*g0 g1 g2 g3 == gamma5, so pull a factor i out of the coefficient.
                 word_txt = "gamma5"
-                coeff = s * Scalar.from_grat(GRat(0, -1))
+                coeff = s * -Scalar.imag_unit()
             lines.append(f"{_xpart_str(x)} | {word_txt} | {coeff.render(reverse)}")
         return "\n".join(lines)
 
@@ -374,33 +377,30 @@ def _coerce(x):
     return s if s is NotImplemented else NCElement.from_scalar(s)
 
 
-def _new_slot():
-    """Raw accumulators ``(A, B, BB)`` of one output monomial."""
-    return ({}, {}, {})
-
-
 def _finish_acc(acc, amax=None, norm: int = 0) -> NCElement:
     """The element of an accumulator of :meth:`NCElement._mul_acc`, each
     coefficient reduced once, truncated at alpha-degree ``amax`` when it is
     set, and times 1, ``1/(i hbar)`` or ``1/2`` for ``norm`` = 0, -1 or +1.
 
     This is where p0^2 is rewritten and exponent overflow is caught."""
-    lim = _FIELD if amax is None else amax
     out = {}
-    for key, slot in acc.items():
-        s = _finish_parts(slot, lim, norm)
-        if not s.is_zero:
-            out[key] = s
+    for key, raw in acc.items():
+        t = _finish(raw, amax, norm)
+        if t:
+            out[key] = Scalar(t, normalize=False)
     return NCElement(out, normalize=False)
 
 
 def _shifted_derivative(memo: dict, g):
     """(-i*hbar)^|g| d^g f for f = memo[(0,0,0,0)], filling the memo on the way.
 
+    The memo maps sub-indices to packed-key dicts (:mod:`~.scalars`).
+
     The shift commutes with d/dp, so each entry is its parent's derivative
     shifted by one more factor of -i*hbar, built in one pass over the
-    parent's terms.  Zeros are dropped and the guards checked, but nothing is
-    gcd-reduced: the entry is only read by products that reduce their output.
+    parent's terms by :func:`~.scalars._shifted_pderiv`.  Zeros are dropped and
+    the guards checked, but nothing is gcd-reduced: the entry is only read by
+    products that reduce their output.
     """
     for j in range(3, -1, -1):
         if g[j]:
@@ -411,18 +411,8 @@ def _shifted_derivative(memo: dict, g):
     base = memo.get(parent)
     if base is None:
         base = _shifted_derivative(memo, parent)
-    a, b = _pderiv_acc(base._a, base._b, j, True)
-    val = Scalar(_nonzero_checked(a), _nonzero_checked(b), 0, False)
-    memo[g] = val
+    val = memo[g] = _shifted_pderiv(base, j)
     return val
-
-
-def _nonzero_checked(acc: dict) -> dict:
-    """The nonzero terms of a raw accumulator, its keys guard-checked."""
-    for k in acc:
-        if k & _GUARD:
-            _overflow()
-    return {k: c for k, c in acc.items() if c[0] or c[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +517,7 @@ class Involution:
         return got
 
     def __call__(self, el: NCElement) -> NCElement:
-        acc = defaultdict(_new_slot)
+        acc = defaultdict(dict)
         for key, f in el._t.items():
             NCElement.from_scalar(f.conj_i())._mul_acc(acc, self._image(key), None)
         return _finish_acc(acc)

@@ -6,20 +6,21 @@ the four acceleration parameters ``a0..a3``, extended by a central square
 root ``w`` of the Minkowski square ``p.p = p0^2 - p1^2 - p2^2 - p3^2``, with
 denominators restricted to powers of ``w``.
 
-A :class:`Scalar` is stored as ``A + B*p0``, where ``A`` and ``B`` are sparse
-polynomials in ``p1..p3`` and ``a0..a3`` with integer (Laurent) powers of
-``hbar`` and ``w``.  The relation ``w^2 = p.p`` is applied as the rewrite
-``p0^2 -> w^2 + p1^2 + p2^2 + p3^2``, so no stored monomial has p0-degree
-above one.  Over the Laurent polynomials in ``w`` and the other variables,
-``1`` and ``p0`` form a basis of the ring, so the stored form is unique and
-equality is plain comparison of forms.  No operation divides by ``p.p``.
+A :class:`Scalar` is one sparse polynomial in ``p0..p3`` and ``a0..a3``
+with integer (Laurent) powers of ``hbar`` and ``w``.  The relation
+``w^2 = p.p`` is applied as the rewrite ``p0^2 -> w^2 + p1^2 + p2^2 + p3^2``,
+so no stored monomial has p0-degree above one.  Over the Laurent polynomials
+in ``w`` and the other variables, ``1`` and ``p0`` form a basis of the ring,
+so the stored form is unique and equality is plain comparison of forms.  No
+operation divides by ``p.p``.
 
-Monomials are packed into single ints with biased ``hbar`` and ``w`` fields
-and guard bits, after Monagan & Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors" (CASC 2007): a monomial product
-is one integer addition, and an exponent that leaves its field raises
-:class:`ExponentOverflow`.  Coefficients are reduced integer triples
-``(a, b, d)`` for ``(a + b*i)/d``; :class:`GRat` is their public form.
+Monomials, ``p0`` included, are packed into single ints with biased
+``hbar`` and ``w`` fields and guard bits, after Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors" (CASC 2007): a monomial product is one integer addition, and an
+exponent that leaves its field raises :class:`ExponentOverflow`.
+Coefficients are reduced integer triples ``(a, b, d)`` for ``(a + b*i)/d``;
+:class:`GRat` is their public form.
 
 Printing uses the form ``(A' + B'*w) / w^(2m)``, in which ``A'`` and ``B'``
 are polynomials in ``p0..p3`` (``w^2`` never written) and ``m >= 0`` is
@@ -144,31 +145,39 @@ class GRat:
 # ---------------------------------------------------------------------------
 # Packed monomials
 #
-# A monomial hbar^h w^k p1^e1 p2^e2 p3^e3 a0^f0 a1^f1 a2^f2 a3^f3 is one int
-# of ten _FW-bit fields, low to high: h, k, e1, e2, e3, f0..f3 and the total
-# alpha-degree f0+f1+f2+f3.  h and k are stored plus _BIAS, so the product
+# A monomial hbar^h w^k p0^e0 p1^e1 p2^e2 p3^e3 a0^f0 a1^f1 a2^f2 a3^f3 is one
+# int of eleven _FW-bit fields, low to high: h, k, e0..e3, f0..f3 and the
+# total alpha-degree f0+f1+f2+f3, which is on top so that a key's
+# alpha-degree is one shift.  h and k are stored plus _BIAS, so the product
 # of two monomials has key k1 + k2 - _ONE.  The top bit of every field is a
 # guard: it is clear in every valid key, and such a sum sets it in each field
 # that left its range, so an overflow is seen, not wrapped into a neighbour.
+# A stored key has e0 <= 1; a product or a derivative may reach e0 = 2, which
+# _finish rewrites.
 # ---------------------------------------------------------------------------
 
 _FW = 16
 _BIAS = 1 << (_FW - 2)
 _FIELD = (1 << (_FW - 1)) - 1
 _FULL = (1 << _FW) - 1
-_GUARD = sum(1 << (j * _FW + _FW - 1) for j in range(10))
+_GUARD = sum(1 << (j * _FW + _FW - 1) for j in range(11))
 
 _H = 1
 _W = 1 << _FW
-_P_SHIFT = (None, 2 * _FW, 3 * _FW, 4 * _FW)        # indexed by mu = 1..3
-_A_SHIFT = (5 * _FW, 6 * _FW, 7 * _FW, 8 * _FW)
-_DEG_SHIFT = 9 * _FW
+_P_SHIFT = (2 * _FW, 3 * _FW, 4 * _FW, 5 * _FW)     # indexed by mu = 0..3
+_A_SHIFT = (6 * _FW, 7 * _FW, 8 * _FW, 9 * _FW)
+_DEG_SHIFT = 10 * _FW
 _ONE = _BIAS * _H + _BIAS * _W
-#: p0^2 = w^2 + p1^2 + p2^2 + p3^2: the key offsets of the four terms.
-_P0SQ = (2 * _W,) + tuple(2 << _P_SHIFT[mu] for mu in (1, 2, 3))
+_P0 = 1 << _P_SHIFT[0]
+#: p0^2 = w^2 + p1^2 + p2^2 + p3^2: the key offsets that rewrite p0^2 into
+#: each of the four terms.
+_P0SQ = tuple(s - 2 * _P0 for s in (2 * _W, 2 << _P_SHIFT[1], 2 << _P_SHIFT[2],
+                                    2 << _P_SHIFT[3]))
+#: Keys with one of these bits set need _rewrite: a guard, or p0^2.
+_RAW = _GUARD | (_P0 << 1)
 
-_W_P_MASK = sum(_FULL << (j * _FW) for j in (1, 2, 3, 4))
-_ALPHA_MASK = sum(_FULL << (j * _FW) for j in (5, 6, 7, 8, 9))
+_W_P_MASK = sum(_FULL << (j * _FW) for j in (1, 2, 3, 4, 5))
+_ALPHA_MASK = sum(_FULL << (j * _FW) for j in (6, 7, 8, 9, 10))
 
 
 class ExponentOverflow(ArithmeticError):
@@ -178,15 +187,16 @@ class ExponentOverflow(ArithmeticError):
 def _overflow():
     raise ExponentOverflow(
         f"exponents must lie in [{-_BIAS}, {_FIELD - _BIAS}] for hbar and w "
-        f"and in [0, {_FIELD}] for p1..p3 and a0..a3")
+        f"and in [0, {_FIELD}] for p0..p3 and a0..a3")
 
 
-def _key(h: int = 0, k: int = 0, mu: int = 0, alpha: int | None = None) -> int:
-    """hbar^h w^k, times p^mu for mu in 1..3 and a^alpha if given."""
+def _key(h: int = 0, k: int = 0, mu: int | None = None,
+         alpha: int | None = None) -> int:
+    """hbar^h w^k, times p^mu and a^alpha if given."""
     if not (-_BIAS <= h <= _FIELD - _BIAS and -_BIAS <= k <= _FIELD - _BIAS):
         _overflow()
     key = _ONE + h * _H + k * _W
-    if mu:
+    if mu is not None:
         key += 1 << _P_SHIFT[mu]
     if alpha is not None:
         key += (1 << _A_SHIFT[alpha]) + (1 << _DEG_SHIFT)
@@ -202,9 +212,9 @@ def _adeg(k: int) -> int:
 
 
 def _unpack(k: int):
-    """(h, e1, e2, e3, f0, f1, f2, f3, w-exponent) of a packed key."""
+    """(h, e0, e1, e2, e3, f0, f1, f2, f3, w-exponent) of a packed key."""
     return (((k & _FIELD) - _BIAS,)
-            + tuple((k >> (j * _FW)) & _FIELD for j in range(2, 9))
+            + tuple((k >> (j * _FW)) & _FIELD for j in range(2, 10))
             + (_wexp(k),))
 
 
@@ -213,8 +223,8 @@ def _unpack(k: int):
 #
 # A polynomial is a dict mapping a packed key to a coefficient (a, b, d), the
 # Gaussian rational (a + b*i)/d with d > 0 and gcd(a, b, d) == 1.  Products
-# first collect unreduced triples in an accumulator; _finish reduces each
-# surviving coefficient once and checks every key's guard bits.
+# first collect unreduced triples in an accumulator; _finish rewrites p0^2,
+# checks every key's guard bits and reduces each surviving coefficient once.
 # ---------------------------------------------------------------------------
 
 def _acc(acc: dict, k: int, a: int, b: int, d: int) -> None:
@@ -237,16 +247,30 @@ def _reduce(acc: dict) -> dict:
     return out
 
 
-def _finish(acc: dict, amax: int = _FIELD, norm: int = 0) -> dict:
-    """Reduced nonzero terms of a packed-key accumulator; checks the guards.
-
-    Terms of alpha-degree above ``amax`` are dropped, and the others are
-    scaled by 1, ``1/(i*hbar)`` or ``1/2`` for ``norm`` = 0, -1 or +1 as they
-    are reduced.
-    """
-    for k in acc:
+def _rewrite(acc: dict) -> None:
+    """Check the guards of an accumulator's keys and rewrite, in place, each
+    p0^2 as w^2 + p1^2 + p2^2 + p3^2."""
+    for k in [k for k in acc if k & _RAW]:
         if k & _GUARD:
             _overflow()
+        a, b, d = acc.pop(k)
+        for s in _P0SQ:
+            if (k + s) & _GUARD:
+                _overflow()
+            _acc(acc, k + s, a, b, d)
+
+
+def _finish(acc: dict, amax: int | None = None, norm: int = 0) -> dict:
+    """Reduced nonzero terms of a packed-key accumulator, which it consumes.
+
+    p0^2 is rewritten and the guards are checked (:func:`_rewrite`).  Terms
+    of alpha-degree above ``amax`` are dropped, and the others are scaled by
+    1, ``1/(i*hbar)`` or ``1/2`` for ``norm`` = 0, -1 or +1 as they are
+    reduced.
+    """
+    _rewrite(acc)
+    if amax is None:
+        amax = _FIELD
     out = {}
     for k, (a, b, d) in acc.items():
         if not (a or b) or k >> _DEG_SHIFT > amax:
@@ -293,44 +317,6 @@ def _mul_into(acc: dict, P: dict, Q: dict, c: int = 1) -> None:
                 acc[k] = (prev[0] * d + a * pd, prev[1] * d + b * pd, pd * d)
 
 
-def _mul_parts(acc: tuple, f: "Scalar", g: "Scalar", c: int = 1) -> None:
-    """acc += c * f * g, unreduced.
-
-    ``acc`` is three packed-key accumulators ``(A, B, BB)`` for the parts of
-    ``A + B*p0 + BB*p0^2``, created as ``({}, {}, {})``;
-    :func:`_finish_parts` rewrites p0^2 and reduces.
-    """
-    # (A1 + B1 p0)(A2 + B2 p0) = A1A2 + B1B2 p0^2 + (A1B2 + B1A2) p0
-    A, B, BB = acc
-    A1, B1, A2, B2 = f._a, f._b, g._a, g._b
-    if A1:
-        if A2:
-            _mul_into(A, A1, A2, c)
-        if B2:
-            _mul_into(B, A1, B2, c)
-    if B1:
-        if A2:
-            _mul_into(B, B1, A2, c)
-        if B2:
-            _mul_into(BB, B1, B2, c)
-
-
-def _finish_parts(acc: tuple, amax: int = _FIELD, norm: int = 0) -> "Scalar":
-    """The Scalar ``A + B*p0 + BB*p0^2`` of an accumulator, p0^2 rewritten,
-    finished by :func:`_finish` with ``amax`` and ``norm``."""
-    A, B, BB = acc
-    if BB:
-        _add_p0sq_into(A, _finish(BB))
-    return Scalar(_finish(A, amax, norm), _finish(B, amax, norm), 0, False)
-
-
-def _add_p0sq_into(acc: dict, P: dict) -> None:
-    """acc += p0^2 * P for a p0-free P, with p0^2 rewritten."""
-    for k, (a, b, d) in P.items():
-        for s in _P0SQ:
-            _acc(acc, k + s, a, b, d)
-
-
 def _cadd(x: tuple, y: tuple, sign: int):
     """x + sign*y, reduced; None for zero."""
     if x[2] == y[2]:
@@ -371,49 +357,39 @@ def _grat(c: tuple) -> GRat:
     return out
 
 
-def _pderiv_acc(A: dict, B: dict, nu: int, mih: bool = False):
-    """Unreduced accumulators ``(a, b)`` of ``d/dp^nu (A + B*p0)``, times
-    ``-i*hbar`` with ``mih``; :meth:`Scalar.pderiv` reduces them.
+def _pderiv_acc(P: dict, nu: int, mih: bool = False) -> dict:
+    """Unreduced accumulator of ``d/dp^nu P``, times ``-i*hbar`` with ``mih``.
 
-    With ``mih`` each input term is multiplied by -i*hbar before it is
-    differentiated: d/dp^nu commutes with that factor.
+    With ``w^2 = p.p``, ``dw/dp^nu = eta_{nu nu} p^nu / w``, so each term
+    ``c p^e w^k`` gives ``e_nu c p^(e - 1_nu) w^k`` and
+    ``eta_{nu nu} k c p^(e + 1_nu) w^(k-2)``; the second may carry p0^2, which
+    :func:`_rewrite` removes.  With ``mih`` each input term is multiplied by
+    -i*hbar before it is differentiated: d/dp^nu commutes with that factor.
     """
-    a: dict = {}
-    b: dict = {}
-    if nu == 0:
-        # d/dp0 (A + B p0) = B + (p0/w)(A_w + B_w p0), where p0^2 * B_w/w
-        # = (w^2 + p1^2 + p2^2 + p3^2) * B_w/w.
-        for k, (x, y, d) in B.items():
-            if mih:
-                k, x, y = k + _H, y, -x
-            _acc(a, k, x, y, d)
-            e = _wexp(k)
-            if e:
-                k2 = k - 2 * _W
-                for s in _P0SQ:
-                    _acc(a, k2 + s, x * e, y * e, d)
-        for k, (x, y, d) in A.items():
-            e = _wexp(k)
-            if e:
-                if mih:
-                    k, x, y = k + _H, y, -x
-                _acc(b, k - 2 * _W, x * e, y * e, d)
-    else:
-        # p_nu = -p^nu for a spatial nu.
-        shift = _P_SHIFT[nu]
-        down = 1 << shift
-        up = down - 2 * _W
-        for P, out in ((A, a), (B, b)):
-            for k, (x, y, d) in P.items():
-                if mih:
-                    k, x, y = k + _H, y, -x
-                e = (k >> shift) & _FIELD
-                if e:
-                    _acc(out, k - down, x * e, y * e, d)
-                e = _wexp(k)
-                if e:
-                    _acc(out, k + up, -x * e, -y * e, d)
-    return a, b
+    shift = _P_SHIFT[nu]
+    down = 1 << shift
+    up = down - 2 * _W
+    eta = int(SIGNATURE[nu])
+    out: dict = {}
+    for k, (x, y, d) in P.items():
+        if mih:
+            k, x, y = k + _H, y, -x
+        e = (k >> shift) & _FIELD
+        if e:
+            _acc(out, k - down, x * e, y * e, d)
+        e = eta * _wexp(k)
+        if e:
+            _acc(out, k + up, x * e, y * e, d)
+    return out
+
+
+def _shifted_pderiv(P: dict, nu: int) -> dict:
+    """``-i*hbar d/dp^nu P`` with p0^2 rewritten, guards checked and zeros
+    dropped, but not gcd-reduced: a raw operand for :func:`_mul_into`, whose
+    result is reduced once by :func:`_finish`."""
+    acc = _pderiv_acc(P, nu, True)
+    _rewrite(acc)
+    return {k: c for k, c in acc.items() if c[0] or c[1]}
 
 
 @lru_cache(maxsize=None)
@@ -440,70 +416,83 @@ def _pp_power(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of the coefficient ring, stored as ``A + B*p0``.
+    """Element of the coefficient ring, stored as one packed-key dict.
 
-    ``A`` (``_a``) and ``B`` (``_b``) map packed monomials in hbar^+-, w^+-,
-    p1..p3 and a0..a3 to reduced Gaussian-rational triples.  The printed form
-    ``(A' + B'*w)/w^(2m)`` is derived from them by :meth:`display_monomials`;
-    ``_m`` is its denominator order.
+    ``_t`` maps packed monomials in hbar^+-, w^+-, p0..p3 and a0..a3, each of
+    p0-degree at most one, to reduced Gaussian-rational triples.  The printed
+    form ``(A' + B'*w)/w^(2m)`` is derived from it by
+    :meth:`display_monomials`; ``_m`` is its denominator order.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_t",)
 
     def __init__(self, a: dict | None = None, b: dict | None = None, m: int = 0,
                  normalize: bool = True):
         """The coefficient ``(a + b*p0) / w^(2m)`` over packed-key dicts.
 
         Coefficients are ``(a, b, d)`` triples with ``d > 0``.  With
-        ``normalize`` (or ``m``) they are reduced and zeros dropped; without
-        it they must already be reduced and nonzero.
+        ``normalize`` (or ``m``) they are reduced, p0^2 is rewritten and zeros
+        are dropped; without it they must already be reduced and nonzero, and
+        every key of p0-degree at most one.
         """
-        a = a or {}
-        b = b or {}
+        t = a or {}
+        if b:
+            t = dict(t)
+            for k, (x, y, d) in b.items():
+                _acc(t, k + _P0, x, y, d)
         if normalize or m:
             shift = _key(k=-2 * m) - _ONE
-            a = _finish({k + shift: c for k, c in a.items()})
-            b = _finish({k + shift: c for k, c in b.items()})
-        self._a = a
-        self._b = b
+            t = _finish({k + shift: c for k, c in t.items()})
+        self._t = t
+
+    # ``_a`` and ``_b`` are read by bench/tracing.py, which counts a result's
+    # terms as len(_a) + len(_b).
+
+    @property
+    def _a(self) -> dict:
+        """The p0-free part ``A`` of ``self == A + B*p0``."""
+        return {k: c for k, c in self._t.items() if not k & _P0}
+
+    @property
+    def _b(self) -> dict:
+        """The part ``B`` of ``self == A + B*p0``."""
+        return {k - _P0: c for k, c in self._t.items() if k & _P0}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls({}, {}, 0, False)
+        return cls({}, normalize=False)
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls({_ONE: (1, 0, 1)}, {}, 0, False)
+        return cls({_ONE: (1, 0, 1)}, normalize=False)
 
     @classmethod
     def from_rational(cls, q) -> "Scalar":
         q = _rational(q)
         if not q:
             return cls.zero()
-        return cls({_ONE: (q.numerator, 0, q.denominator)}, {}, 0, False)
+        return cls({_ONE: (q.numerator, 0, q.denominator)}, normalize=False)
 
     @classmethod
     def from_grat(cls, g: GRat) -> "Scalar":
         if not g:
             return cls.zero()
-        return cls({_ONE: (g.a, g.b, g.d)}, {}, 0, True)
+        return cls({_ONE: (g.a, g.b, g.d)})
 
     @classmethod
     def imag_unit(cls) -> "Scalar":
-        return cls({_ONE: (0, 1, 1)}, {}, 0, False)
+        return cls({_ONE: (0, 1, 1)}, normalize=False)
 
     @classmethod
     def hbar(cls, k: int = 1) -> "Scalar":
-        return cls({_key(h=k): (1, 0, 1)}, {}, 0, False)
+        return cls({_key(h=k): (1, 0, 1)}, normalize=False)
 
     @classmethod
     def p(cls, mu: int) -> "Scalar":
         """Contravariant momentum component p^mu."""
-        if mu == 0:
-            return cls({}, {_ONE: (1, 0, 1)}, 0, False)
-        return cls({_key(mu=mu): (1, 0, 1)}, {}, 0, False)
+        return cls({_key(mu=mu): (1, 0, 1)}, normalize=False)
 
     @classmethod
     def p_lower(cls, mu: int) -> "Scalar":
@@ -513,35 +502,32 @@ class Scalar:
     @classmethod
     def alpha(cls, mu: int) -> "Scalar":
         """Contravariant acceleration parameter a^mu."""
-        return cls({_key(alpha=mu): (1, 0, 1)}, {}, 0, False)
+        return cls({_key(alpha=mu): (1, 0, 1)}, normalize=False)
 
     @classmethod
     def w_pow(cls, k: int) -> "Scalar":
         """Any integer power of w."""
-        return cls({_key(k=k): (1, 0, 1)}, {}, 0, False)
+        return cls({_key(k=k): (1, 0, 1)}, normalize=False)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        return not self._t
 
     @property
     def p_free(self) -> bool:
         """True when no monomial involves p or w (all p-derivatives vanish)."""
-        if self._b:
-            return False
-        return all(k & _W_P_MASK == _BIAS * _W for k in self._a)
+        return all(k & _W_P_MASK == _BIAS * _W for k in self._t)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Scalar)
-                and self._a == other._a and self._b == other._b)
+        return isinstance(other, Scalar) and self._t == other._t
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._a.items()), frozenset(self._b.items())))
+        return hash(frozenset(self._t.items()))
 
     # -- ring operations ----------------------------------------------------
 
@@ -549,7 +535,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(_padd(self._a, other._a), _padd(self._b, other._b), 0, False)
+        return Scalar(_padd(self._t, other._t), normalize=False)
 
     __radd__ = __add__
 
@@ -557,8 +543,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(_padd(self._a, other._a, -1), _padd(self._b, other._b, -1),
-                      0, False)
+        return Scalar(_padd(self._t, other._t, -1), normalize=False)
 
     def __rsub__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -567,50 +552,32 @@ class Scalar:
         return other - self
 
     def __neg__(self) -> "Scalar":
-        return self.mih_shift(-1, 0)
+        return self._scaled(-1)
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, int):
-            return self.mih_shift(other, 0) if other else Scalar.zero()
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Scalar.zero()
-        acc = ({}, {}, {})
-        _mul_parts(acc, self, other)
-        return _finish_parts(acc)
+        acc: dict = {}
+        _mul_into(acc, self._t, other._t)
+        return Scalar(_finish(acc), normalize=False)
 
     __rmul__ = __mul__
 
-    def mih_shift(self, c: int, k: int) -> "Scalar":
-        """``c * (-i*hbar)^k * self`` for integers c != 0 and k.
-
-        A monomial shift: each coefficient is rotated by (-i)^k and scaled by
-        c, and k is added to every hbar exponent.
-        """
-        r = k % 4
-        dk = k * _H
-
-        def shift(P):
-            out = {}
-            for key, (a, b, d) in P.items():
-                if r == 1:
-                    a, b = b, -a
-                elif r == 2:
-                    a, b = -a, -b
-                elif r == 3:
-                    a, b = -b, a
-                if c != 1:
-                    g = _gcd(c, d)
-                    a, b, d = a * (c // g), b * (c // g), d // g
-                key += dk
-                if key & _GUARD:
-                    _overflow()
-                out[key] = (a, b, d)
-            return out
-
-        return Scalar(shift(self._a), shift(self._b), 0, False)
+    def _scaled(self, q) -> "Scalar":
+        """``q * self`` for a rational ``q`` (an int or a Fraction), in one
+        pass that keeps every coefficient reduced."""
+        if not q:
+            return Scalar.zero()
+        n, m = q.numerator, q.denominator
+        out = {}
+        for k, (a, b, d) in self._t.items():
+            a, b, d = a * n, b * n, d * m
+            g = _gcd(a, b, d)
+            out[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+        return Scalar(out, normalize=False)
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -624,9 +591,9 @@ class Scalar:
         """Inverse of a unit c * w^k; raises NonInvertibleCoefficient otherwise."""
         if self.is_zero:
             raise NonInvertibleCoefficient("zero is not invertible")
-        if self._b or len(self._a) != 1:
+        if len(self._t) != 1:
             raise NonInvertibleCoefficient("coefficient is not c * w^k")
-        (key, (a, b, d)), = self._a.items()
+        (key, (a, b, d)), = self._t.items()
         if key & ~(_FULL * (_H | _W)):
             raise NonInvertibleCoefficient("coefficient is not c * w^k")
         # c * hbar^h * w^k -> (1/c) * hbar^-h * w^-k
@@ -635,7 +602,7 @@ class Scalar:
             _overflow()
         n = a * a + b * b
         g = _gcd(d * a, d * b, n)
-        return Scalar({key: (d * a // g, -d * b // g, n // g)}, {}, 0, False)
+        return Scalar({key: (d * a // g, -d * b // g, n // g)}, normalize=False)
 
     # -- calculus -----------------------------------------------------------
 
@@ -645,67 +612,56 @@ class Scalar:
         The derivation d/dp^nu + (p_nu/w) d/dw on the stored form; it kills
         w^2 - p.p, so it needs no reduction beyond rewriting p0^2.
         """
-        if self.is_zero:
-            return self
-        a, b = _pderiv_acc(self._a, self._b, nu)
-        return Scalar(_finish(a), _finish(b), 0, False)
+        return Scalar(_finish(_pderiv_acc(self._t, nu)), normalize=False)
 
     def conj_i(self) -> "Scalar":
         """Complex conjugation i -> -i; p, alpha, hbar, w are fixed."""
-        return Scalar({k: (a, -b, d) for k, (a, b, d) in self._a.items()},
-                      {k: (a, -b, d) for k, (a, b, d) in self._b.items()},
-                      0, False)
+        return Scalar({k: (a, -b, d) for k, (a, b, d) in self._t.items()},
+                      normalize=False)
 
     # -- alpha grading ------------------------------------------------------
 
     def alpha_degree(self) -> int:
         """Maximal total degree in a0..a3; -1 for the zero scalar."""
-        return max((_adeg(k) for P in (self._a, self._b) for k in P), default=-1)
+        return max((_adeg(k) for k in self._t), default=-1)
 
     def alpha_min_degree(self) -> int:
         """Minimal total degree in a0..a3; -1 for the zero scalar."""
-        if self.is_zero:
-            return -1
-        return min(_adeg(k) for P in (self._a, self._b) for k in P)
+        return min((_adeg(k) for k in self._t), default=-1)
 
     def alpha_truncate(self, n: int) -> "Scalar":
         """Drop every monomial of alpha-degree above n."""
-        return Scalar({k: c for k, c in self._a.items() if _adeg(k) <= n},
-                      {k: c for k, c in self._b.items() if _adeg(k) <= n}, 0, False)
+        return Scalar({k: c for k, c in self._t.items() if _adeg(k) <= n},
+                      normalize=False)
 
     def alpha_part(self, n: int) -> "Scalar":
         """Keep only the monomials of alpha-degree exactly n."""
-        return Scalar({k: c for k, c in self._a.items() if _adeg(k) == n},
-                      {k: c for k, c in self._b.items() if _adeg(k) == n}, 0, False)
+        return Scalar({k: c for k, c in self._t.items() if _adeg(k) == n},
+                      normalize=False)
 
     def subst_alpha(self, values) -> "Scalar":
         """Substitute rational numbers for the four alpha parameters."""
         vals = [_rational(v) for v in values]
         if len(vals) != 4:
             raise ValueError(f"subst_alpha takes exactly four values, got {len(vals)}")
-        out = []
-        for P in (self._a, self._b):
-            acc: dict = {}
-            for k, (a, b, d) in P.items():
-                f = Fraction(1)
-                for j in range(4):
-                    e = (k >> _A_SHIFT[j]) & _FIELD
-                    if e:
-                        f *= vals[j] ** e
-                if f:
-                    _acc(acc, k & ~_ALPHA_MASK, a * f.numerator, b * f.numerator,
-                         d * f.denominator)
-            out.append(_finish(acc))
-        return Scalar(out[0], out[1], 0, False)
+        acc: dict = {}
+        for k, (a, b, d) in self._t.items():
+            f = Fraction(1)
+            for j in range(4):
+                e = (k >> _A_SHIFT[j]) & _FIELD
+                if e:
+                    f *= vals[j] ** e
+            if f:
+                _acc(acc, k & ~_ALPHA_MASK, a * f.numerator, b * f.numerator,
+                     d * f.denominator)
+        return Scalar(_finish(acc), normalize=False)
 
     # -- display form -------------------------------------------------------
 
     @property
     def _m(self) -> int:
         """Denominator order m of the display form (A + B*w)/w^(2m)."""
-        if self.is_zero:
-            return 0
-        kmin = min(_wexp(k) for P in (self._a, self._b) for k in P)
+        kmin = min((_wexp(k) for k in self._t), default=1)
         return max(0, (1 - kmin) // 2)
 
     def _display_form(self):
@@ -719,14 +675,12 @@ class Scalar:
         """
         m = self._m
         parts = ({}, {})
-        for e0, P in ((0, self._a), (1, self._b)):
-            for k, (a, b, d) in P.items():
-                h, e1, e2, e3, f0, f1, f2, f3, kw = _unpack(k)
-                q, r = divmod(kw + 2 * m, 2)
-                base = (h, e0, e1, e2, e3, f0, f1, f2, f3)
-                dst = parts[r]
-                for pk, n in _pp_power(q).items():
-                    _acc(dst, tuple(x + y for x, y in zip(base, pk)), a * n, b * n, d)
+        for k, (a, b, d) in self._t.items():
+            *base, kw = _unpack(k)
+            q, r = divmod(kw + 2 * m, 2)
+            dst = parts[r]
+            for pk, n in _pp_power(q).items():
+                _acc(dst, tuple(x + y for x, y in zip(base, pk)), a * n, b * n, d)
         A, B = (_reduce(acc) for acc in parts)
         return A, B, m
 

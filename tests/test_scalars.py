@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracobs import scalars
+from diracobs.ncalg import NCElement, bracket, dot
+from diracobs.observables import adjoint
 from diracobs.scalars import ExponentOverflow, GRat, NonInvertibleCoefficient, Scalar
 
 from conftest import random_scalar
@@ -150,6 +152,56 @@ class TestDerivative:
             a, b = random_scalar(rng), random_scalar(rng)
             nu = rng.randrange(4)
             assert (a * b).pderiv(nu) == a.pderiv(nu) * b + a * b.pderiv(nu)
+
+
+class TestP0Field:
+    """p0 is one field of the packed key; p0^2 is always rewritten."""
+
+    # (coefficient, momentum factors, w exponent, times i)
+    monomial = st.tuples(st.integers(-3, 3).filter(bool),
+                         st.lists(st.integers(0, 3), max_size=3),
+                         st.integers(-2, 2), st.booleans())
+
+    @staticmethod
+    def build(terms) -> Scalar:
+        out = Scalar.zero()
+        for c, ps, k, imag in terms:
+            t = S(c) * Scalar.w_pow(k)
+            for mu in ps:
+                t = t * Scalar.p(mu)
+            out = out + (t * Scalar.imag_unit() if imag else t)
+        return out
+
+    @staticmethod
+    def max_p0_degree(t: dict) -> int:
+        return max(((k >> scalars._P_SHIFT[0]) & scalars._FIELD for k in t),
+                   default=0)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(monomial, min_size=1, max_size=3),
+           st.lists(monomial, min_size=1, max_size=3), st.integers(0, 3))
+    def test_stored_p0_degree_at_most_one(self, fs, gs, nu):
+        f, g = self.build(fs), self.build(gs)
+        a = NCElement.from_scalar(f) * NCElement.x(nu) * NCElement.gamma(0)
+        b = NCElement.x(0) * NCElement.from_scalar(g)
+        stored = [(f * g)._t, (f + g)._t, (f - g)._t, f.pderiv(nu)._t,
+                  scalars._shifted_pderiv(f._t, nu)]
+        for el in (a * b, bracket(a, b), dot(a, b), adjoint(a)):
+            stored += [s._t for _x, _w, s in el.terms()]
+        assert all(self.max_p0_degree(t) <= 1 for t in stored)
+
+    @pytest.mark.parametrize("nu", range(4))
+    def test_pderiv_is_the_chain_rule(self, nu):
+        # d/dp^nu (p^mu w^k) = delta_mu_nu w^k + eta_nu_nu k p^mu p^nu w^(k-2),
+        # from w^2 = p.p; the right side is built by products alone
+        eta = (1, -1, -1, -1)[nu]
+        for mu in range(4):
+            for k in range(-2, 3):
+                got = (Scalar.p(mu) * Scalar.w_pow(k)).pderiv(nu)
+                want = S(eta * k) * Scalar.p(mu) * Scalar.p(nu) * Scalar.w_pow(k - 2)
+                if mu == nu:
+                    want = want + Scalar.w_pow(k)
+                assert got == want, (mu, nu, k)
 
 
 class TestConjugation:

@@ -1,4 +1,5 @@
-"""What a launch imports, and the package's lazy exports."""
+"""What a launch imports, the package's lazy exports, and the names the
+benchmark tracer binds."""
 
 import os
 import subprocess
@@ -59,3 +60,34 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="'nope'"):
         diracobs.nope
     assert not hasattr(diracobs, "nope")
+
+
+def test_benchmark_tracer_runs_on_the_kernel():
+    # bench/tracing.py rebinds names of the package from outside it, such as
+    # the four-argument Scalar.__init__ and the _a/_b parts it counts; one
+    # product, one bracket and one p-derivative run through its wrappers
+    code = (
+        "from tracing import Tracer\n"
+        "from diracobs import ncalg\n"
+        "from diracobs.scalars import Scalar\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "tracer.start()\n"
+        "f = Scalar.p(0) * Scalar.w_pow(-1) + Scalar.p(1)\n"
+        "a = ncalg.NCElement.from_scalar(f) * ncalg.NCElement.gamma(0)\n"
+        "b = ncalg.NCElement.x(0) + ncalg.NCElement.x(1)\n"
+        "product = a * b\n"
+        "ncalg.bracket(a, b)\n"
+        "print(f.pderiv(0))\n"
+        "counts = tracer.summary()['counts']\n"
+        "print(counts['scalars.terms_out'], counts['ncalg.mul.pairs'])\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "bench")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env, cwd=root)
+    assert done.returncode == 0, done.stderr
+    deriv, counts = done.stdout.splitlines()
+    assert deriv == "-p1^2*w^-3 - p2^2*w^-3 - p3^2*w^-3"
+    terms_out, pairs = map(int, counts.split())
+    assert terms_out > 0 and pairs > 0
