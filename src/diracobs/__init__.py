@@ -32,7 +32,7 @@ from .conventions import DEFAULT_ORDER
 from .exprcli import EvalError, ParseError, eval_text, parse, render_expr
 from .ncalg import Involution, NCElement, NotUnitalSeries, bracket, dot, geometric_inverse
 from .observables import UnknownObservable, adjoint, build, catalog_names
-from .scalars import GRat, NonInvertibleCoefficient, Scalar
+from .scalars import GRat, Scalar
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,8 @@ _LAZY = {
 
 __all__ = [
     "DEFAULT_ORDER", "EvalError", "GRat", "IdentityEntry",
-    "Involution", "ManifestParseError", "NCElement", "NonInvertibleCoefficient",
-    "NotUnitalSeries", "ParseError", "Scalar", "UnknownObservable",
+    "Involution", "ManifestParseError", "NCElement", "NotUnitalSeries",
+    "ParseError", "Scalar", "UnknownObservable",
     "adjoint", "bracket", "build", "catalog_names", "conformal_factor",
     "conformal_factor_inv", "conjugate", "dot", "eval_text", "geometric_inverse",
     "golden_snapshot", "load_default_manifest", "parse", "parse_manifest",

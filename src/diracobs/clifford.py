@@ -54,22 +54,6 @@ def _build_table():
 _TABLE = _build_table()
 
 
-def wmul(a: int, b: int):
-    """Product of two basis words: (sign, word)."""
-    return _TABLE[a][b]
-
-
-def reversal_sign(word: int) -> int:
-    """Sign picked up when writing the word's generators in reverse order."""
-    k = grade(word)
-    return -1 if (k * (k - 1) // 2) & 1 else 1
-
-
-def grade_involution_sign(word: int) -> int:
-    """Sign of the grade involution g_mu -> -g_mu."""
-    return -1 if grade(word) & 1 else 1
-
-
 def gamma5():
     """The orientation element as (coefficient, word) = (i, g0 g1 g2 g3)."""
     return Scalar.imag_unit(), GAMMA5_WORD
@@ -87,11 +71,6 @@ def epsilon_lower(mu: int, nu: int, rho: int, sigma: int) -> int:
             if lst[i] > lst[j]:
                 sign = -sign
     return sign
-
-
-def epsilon_upper(mu: int, nu: int, rho: int, sigma: int) -> int:
-    """Fully raised Levi-Civita symbol, eps^{0123} = -1."""
-    return -epsilon_lower(mu, nu, rho, sigma)
 
 
 def nonzero_epsilon():

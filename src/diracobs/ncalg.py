@@ -187,12 +187,6 @@ class NCElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "NCElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self) -> "NCElement":
         return NCElement({k: -s for k, s in self._t.items()}, normalize=False)
 

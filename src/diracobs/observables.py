@@ -251,16 +251,6 @@ def alpha2() -> NCElement:
     return NCElement.from_scalar(out)
 
 
-# -- index utilities --------------------------------------------------------
-
-def upper(builder, *indices):
-    """Raise every index of a lowered-index builder output (diagonal metric)."""
-    sign = Fraction(1)
-    for mu in indices:
-        sign *= eta(mu)
-    return builder(*indices) * sign
-
-
 # -- catalog dispatch -------------------------------------------------------
 
 _CATALOG = {

@@ -26,11 +26,8 @@ Printing uses the form ``(A' + B'*w) / w^(2m)``, in which ``A'`` and ``B'``
 are polynomials in ``p0..p3`` (``w^2`` never written) and ``m >= 0`` is
 minimal.  It is built only for display, by :meth:`Scalar.display_monomials`,
 which ``render``, ``latex`` and every other reader of printed monomials use.
-
-Inverses exist only for units, i.e. coefficients of the shape
-``c * w^k`` with ``c`` a nonzero Gaussian rational times a power of hbar;
-anything else raises :class:`NonInvertibleCoefficient`, which signals a
-modeling bug rather than a recoverable condition.
+One monomial writer serves plain text and LaTeX; a per-format table holds
+the factor templates, the separator and the way numbers are written.
 """
 
 from __future__ import annotations
@@ -40,10 +37,6 @@ from functools import lru_cache
 from math import gcd as _gcd
 
 from .conventions import SIGNATURE
-
-
-class NonInvertibleCoefficient(ArithmeticError):
-    """Inversion was attempted on a coefficient that is not c * w^k."""
 
 
 def _rational(q) -> Fraction:
@@ -526,9 +519,6 @@ class Scalar:
     def __eq__(self, other) -> bool:
         return isinstance(other, Scalar) and self._t == other._t
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
@@ -544,12 +534,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return Scalar(_padd(self._t, other._t, -1), normalize=False)
-
-    def __rsub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self) -> "Scalar":
         return self._scaled(-1)
@@ -578,31 +562,6 @@ class Scalar:
             g = _gcd(a, b, d)
             out[k] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
         return Scalar(out, normalize=False)
-
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            return self.invert() ** (-n)
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def invert(self) -> "Scalar":
-        """Inverse of a unit c * w^k; raises NonInvertibleCoefficient otherwise."""
-        if self.is_zero:
-            raise NonInvertibleCoefficient("zero is not invertible")
-        if len(self._t) != 1:
-            raise NonInvertibleCoefficient("coefficient is not c * w^k")
-        (key, (a, b, d)), = self._t.items()
-        if key & ~(_FULL * (_H | _W)):
-            raise NonInvertibleCoefficient("coefficient is not c * w^k")
-        # c * hbar^h * w^k -> (1/c) * hbar^-h * w^-k
-        key = 2 * _ONE - key
-        if key & _GUARD:
-            _overflow()
-        n = a * a + b * b
-        g = _gcd(d * a, d * b, n)
-        return Scalar({key: (d * a // g, -d * b // g, n // g)}, normalize=False)
 
     # -- calculus -----------------------------------------------------------
 
@@ -703,11 +662,11 @@ class Scalar:
         return items
 
     def render(self, reverse: bool = False) -> str:
-        return _signed_join(_mono_str(k, w, c)
+        return _signed_join(_mono(_PLAIN, k, w, c)
                             for k, w, c in self.display_monomials(reverse))
 
     def latex(self) -> str:
-        return _signed_join(_mono_latex(k, w, c) for k, w, c in self.display_monomials())
+        return _signed_join(_mono(_LATEX, k, w, c) for k, w, c in self.display_monomials())
 
     def __str__(self) -> str:
         return self.render()
@@ -739,86 +698,52 @@ def _signed_join(parts) -> str:
     return out
 
 
-def _coeff_str(c: GRat) -> str:
-    """A Gaussian rational coefficient as plain text."""
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{c.im}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    im_abs = abs(im)
-    im_part = "i" if im_abs == 1 else f"{im_abs}*i"
-    return f"({c.re} {sign} {im_part})"
-
-
-def _mono_str(k, wexp: int, c: GRat) -> str:
-    factors = []
-    h = k[0]
-    if h:
-        factors.append("hbar" if h == 1 else f"hbar^{h}")
-    for j in range(4):
-        e = k[1 + j]
-        if e:
-            factors.append(f"p{j}" if e == 1 else f"p{j}^{e}")
-    for j in range(4):
-        e = k[5 + j]
-        if e:
-            factors.append(f"a{j}" if e == 1 else f"a{j}^{e}")
-    if wexp:
-        factors.append("w" if wexp == 1 else f"w^{wexp}")
-    cs = _coeff_str(c)
-    if not factors:
-        return cs
-    body = "*".join(factors)
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return "-" + body
-    return f"{cs}*{body}"
-
-
-def _mono_latex(k, wexp: int, c: GRat) -> str:
-    factors = []
-    h = k[0]
-    if h:
-        factors.append(r"\hbar" if h == 1 else r"\hbar^{%d}" % h)
-    for j in range(4):
-        e = k[1 + j]
-        if e:
-            factors.append("p^{%d}" % j if e == 1 else "(p^{%d})^{%d}" % (j, e))
-    for j in range(4):
-        e = k[5 + j]
-        if e:
-            factors.append(r"\alpha^{%d}" % j if e == 1 else r"(\alpha^{%d})^{%d}" % (j, e))
-    if wexp:
-        factors.append("w" if wexp == 1 else "w^{%d}" % wexp)
-    if not c.im:
-        q = c.re
-        cs = _frac_latex(q)
-    elif not c.re:
-        cs = ("i" if c.im == 1 else "-i" if c.im == -1 else _frac_latex(c.im) + " i")
-    else:
-        sign = "+" if c.im > 0 else "-"
-        im_abs = abs(c.im)
-        im_part = "i" if im_abs == 1 else _frac_latex(im_abs) + " i"
-        cs = r"\left(%s %s %s\right)" % (_frac_latex(c.re), sign, im_part)
-    if not factors:
-        return cs
-    body = r" \, ".join(factors)
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return "-" + body
-    return cs + r" \, " + body
-
-
 def _frac_latex(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     s = r"\tfrac{%d}{%d}" % (abs(q.numerator), q.denominator)
     return "-" + s if q < 0 else s
+
+
+# An output format: the templates of hbar, p^j, alpha^j and w at power 1 and
+# at power e, the separator between factors and before the coefficient, the
+# writer of a rational number, and the templates of an imaginary part and of
+# a bracketed complex coefficient.
+_PLAIN = ((("hbar", "hbar^{e}"), ("p{j}", "p{j}^{e}"), ("a{j}", "a{j}^{e}"),
+           ("w", "w^{e}")),
+          "*", str, "{}*i", "({} {} {})")
+_LATEX = (((r"\hbar", r"\hbar^{{{e}}}"), ("p^{{{j}}}", "(p^{{{j}}})^{{{e}}}"),
+           (r"\alpha^{{{j}}}", r"(\alpha^{{{j}}})^{{{e}}}"), ("w", "w^{{{e}}}")),
+          r" \, ", _frac_latex, "{} i", r"\left({} {} {}\right)")
+
+#: The factor of each display exponent (h, p0..p3, a0..a3, w): its row in a
+#: format's templates and its index j.
+_FACTORS = ((0, 0), *((1, j) for j in range(4)), *((2, j) for j in range(4)), (3, 0))
+
+
+def _coeff(fmt, c: GRat) -> str:
+    """A Gaussian rational coefficient in the output format ``fmt``."""
+    _, _, num, imag, paren = fmt
+    re, im = c.re, c.im
+    if not im:
+        return num(re)
+    i_part = "i" if abs(im) == 1 else imag.format(num(abs(im)))
+    if re:
+        return paren.format(num(re), "+" if im > 0 else "-", i_part)
+    return i_part if im > 0 else "-" + i_part
+
+
+def _mono(fmt, k, wexp: int, c: GRat) -> str:
+    """One display monomial (key, w exponent, coefficient) in the format ``fmt``."""
+    templates, sep = fmt[:2]
+    factors = [templates[row][e != 1].format(j=j, e=e)
+               for (row, j), e in zip(_FACTORS, (*k, wexp)) if e]
+    cs = _coeff(fmt, c)
+    if not factors:
+        return cs
+    body = sep.join(factors)
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return "-" + body
+    return cs + sep + body

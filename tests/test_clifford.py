@@ -2,11 +2,31 @@
 
 import itertools
 
-from diracobs.clifford import (GAMMA5_WORD, WORDS, epsilon_lower, epsilon_upper,
-                               gamma5, grade, grade_involution_sign, indices,
-                               reversal_sign, wmul, word_str)
+from diracobs.clifford import (_TABLE, GAMMA5_WORD, WORDS, epsilon_lower, gamma5, grade,
+                               indices, word_str)
 from diracobs.ncalg import NCElement, dot
 from diracobs.scalars import Scalar
+
+
+def wmul(a: int, b: int):
+    """Product of two basis words: (sign, word)."""
+    return _TABLE[a][b]
+
+
+def reversal_sign(word: int) -> int:
+    """Sign picked up when writing the word's generators in reverse order."""
+    k = grade(word)
+    return -1 if (k * (k - 1) // 2) & 1 else 1
+
+
+def grade_involution_sign(word: int) -> int:
+    """Sign of the grade involution g_mu -> -g_mu."""
+    return -1 if grade(word) & 1 else 1
+
+
+def epsilon_upper(mu: int, nu: int, rho: int, sigma: int) -> int:
+    """Fully raised Levi-Civita symbol, eps^{0123} = -1."""
+    return -epsilon_lower(mu, nu, rho, sigma)
 
 
 def test_metric_contractions():

@@ -42,7 +42,7 @@ class TestReordering:
 
     def test_higher_power_reordering(self):
         # f x^2 = x^2 f - 2 i hbar x f' + (i hbar)^2 f''
-        f = Scalar.p(1) ** 2
+        f = Scalar.p(1) * Scalar.p(1)
         fe = NCElement.from_scalar(f)
         x1 = NCElement.x(1)
         ih = Scalar.imag_unit() * Scalar.hbar()
@@ -107,7 +107,7 @@ class TestSeries:
             x2 = x2 + NCElement.x(mu) * NCElement.x(mu) * sgn
         a2 = NCElement.zero()
         for mu, sgn in enumerate((1, -1, -1, -1)):
-            a2 = a2 + NCElement.from_scalar(Scalar.alpha(mu) ** 2) * sgn
+            a2 = a2 + NCElement.from_scalar(Scalar.alpha(mu) * Scalar.alpha(mu)) * sgn
         u = one - ax * 2 + a2 * x2
         inv1 = geometric_inverse(u, 1)
         assert inv1 == one + ax * 2
