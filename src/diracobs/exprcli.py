@@ -753,9 +753,7 @@ def _alpha_values(text: str) -> list:
 
 def _cmd_conjugate(args) -> int:
     vals = None if args.alpha is None else _alpha_values(args.alpha)
-    el = eval_text(args.expr, args.order)
-    from . import frames
-    out = frames.conjugate(el, args.order)
+    out = evaluate(Conj(a=parse(args.expr), order=args.order), args.order)
     if vals is not None:
         out = out.subst_alpha(vals)
     print(render_element(out, args.format))

@@ -19,8 +19,8 @@ runner (:func:`diracobs.suite.run_suite`, filtered on the family prefix):
 * metric: ``d_mu x_bar^rho eta_rs d_nu x_bar^s = lam^2 eta_{mu nu}``
   (``s5.traG``);
 * tetrad: ``g_bar_mu = lam e_mu^nu g_nu`` with the vierbein
-  ``e_mu^nu = (1/lam)^2 d^nu x_bar_mu`` (exactly alpha-quadratic)
-  (``s5.traE``);
+  ``e_mu^nu = (1/lam)^2 d^nu x_bar_mu``, built from its exactly
+  alpha-quadratic closed form and compared with the series (``s5.traE``);
 * momenta: ``P_bar_mu = e_mu^nu . P_nu + 1/2 (d^rho e_mu^nu) s_{nu rho}``
   (``s5.traP.law``);
 * reciprocity and canonical invariance (``s5.recip``, ``s5.inv``);
@@ -29,15 +29,15 @@ runner (:func:`diracobs.suite.run_suite`, filtered on the family prefix):
   entries that state them) (``s5.traPXS``).
 
 This module builds the series and the closed-form pieces the manifest
-refers to (``lam``, ``vb``, ``Evb``, ...); the laws and their coefficients
-live only in the manifest.  It is also the one place that substitutes the
-hermitian positions ``X_mu`` for ``x_mu`` in a position polynomial
+refers to (``lam``, ``vb``, ``Evb``, ...) from kernel operations alone; the
+laws and their coefficients live only in the manifest.  It is also the one
+place that substitutes the hermitian positions ``X_mu`` for ``x_mu`` in a position polynomial
 (:func:`on_hermitian_positions`, used for ``Evb``, ``EvbL`` and ``dEvb``).
 
-Commutative position calculus (``d/dx^rho``) is defined only on the
-x-subalgebra: elements with trivial Clifford word whose coefficients are
-free of ``p`` and ``w``.  Anything else raises
-:class:`NotInCommutativeSubalgebra`.
+Commutative position calculus (``d/dx^rho f = (f, P_rho)``, the bracket
+with the momentum) is defined only on the x-subalgebra: elements with
+trivial Clifford word whose coefficients are free of ``p`` and ``w``.
+Anything else raises :class:`NotInCommutativeSubalgebra`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def conjugate(el: NCElement, order: int, sign: int = 1) -> NCElement:
     acc = el.alpha_truncate(order)
     term = acc
     for n in range(1, order + 1):
-        term = bracket_truncated(term, K, order) * Fraction(SIGMA * sign, n)
+        term = bracket_truncated(term, K * Fraction(SIGMA * sign, n), order)
         if term.is_zero:
             break
         acc = acc + term
@@ -120,14 +120,9 @@ def xbar(mu: int, order: int) -> NCElement:
 
 
 @lru_cache(maxsize=None)
-def xbar_up(mu: int, order: int) -> NCElement:
-    return xbar(mu, order) * eta(mu)
-
-
-@lru_cache(maxsize=None)
 def dxbar(mu: int, rho: int, order: int) -> NCElement:
     """d x_bar^rho / dx^mu: the lowered derivative of the raised shifted position."""
-    return xderiv(xbar_up(rho, order), mu)
+    return xderiv(xbar(rho, order), mu) * eta(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +130,7 @@ def dxbar(mu: int, rho: int, order: int) -> NCElement:
 # ---------------------------------------------------------------------------
 
 def _require_x_subalgebra(el: NCElement) -> None:
-    for (_x, w), s in el._t.items():
+    for _xk, w, s in el.terms():
         if w != 0:
             raise NotInCommutativeSubalgebra("element carries Clifford content")
         if not s.p_free:
@@ -145,21 +140,11 @@ def _require_x_subalgebra(el: NCElement) -> None:
 def xderiv(el: NCElement, rho: int) -> NCElement:
     """d/dx^rho on the commuting x-subalgebra (lowered derivative index).
 
-    Each monomial ``x^k`` with ``k_rho > 0`` maps to ``eta_rho k_rho
-    x^(k - e_rho)``.  Lowering one exponent maps distinct monomials to
-    distinct monomials, so the terms never collide and go into one dict.
+    It is the bracket with the momentum, ``d/dx^rho f = (f, P_rho)``, by the
+    canonical pair ``(P_mu, x_nu) = -eta_{mu nu}``.
     """
     _require_x_subalgebra(el)
-    eta_r = eta(rho)
-    out = {}
-    for (xk, _w), s in el._t.items():
-        e = xk[rho]
-        if not e:
-            continue
-        down = list(xk)
-        down[rho] = e - 1
-        out[(tuple(down), 0)] = s * (eta_r * e)
-    return NCElement(out)
+    return bracket_truncated(el, obs.P(rho), None)
 
 
 def xderiv_up(el: NCElement, rho: int) -> NCElement:
@@ -188,12 +173,13 @@ def vierbein_raw(mu: int, nu: int, order: int) -> NCElement:
 
 @lru_cache(maxsize=None)
 def vierbein(mu: int, nu: int) -> NCElement:
-    """The exact (alpha-quadratic) vierbein entry.
-
-    Computed from the order-3 series; termination (vanishing alpha-degree-3
-    part) is itself one of the suite checks.
+    """The exact vierbein entry, with no conjugation: ``x_bar_mu = lam H_mu``
+    with ``H_mu = x_mu - x^2 alpha_mu`` and ``L = 1/lam`` make
+    ``L^2 d^nu x_bar_mu`` the alpha-quadratic ``L d^nu H_mu - (d^nu L) H_mu``.
     """
-    return vierbein_raw(mu, nu, 3).alpha_truncate(2)
+    L = conformal_factor_inv()
+    H = obs.x(mu) - obs.x2() * (Scalar.alpha(mu) * eta(mu))
+    return L * xderiv_up(H, nu) - xderiv_up(L, nu) * H
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +249,6 @@ def check_hermitian_forms() -> dict:
     ``mass_alpha2_correction`` (of ``alpha^2 M / P^2`` in the mass law) and
     ``momentum_dd_correction`` (of ``ddE_P(0) / P^2`` in the momentum law).
     Kept by name because the benchmark tracer times it."""
-    from . import suite  # suite imports frames
+    from . import suite  # lazy: a launch that builds only frames skips it
     entries = suite.parse_manifest(suite.load_default_manifest())
     return suite.run_suite(entries, name_filter="s5.traPXS.")

@@ -281,6 +281,9 @@ class TestCLI:
         assert main(["conjugate", "M", "--order", "2", "--alpha", "0,1,0,0"]) == 0
         out = capsys.readouterr().out
         assert "x1 | g1 |" in out
+        # a value that starts with "-" needs the "=" form
+        assert main(["conjugate", "M", "--order", "1", "--alpha=-1/2,0,0,1"]) == 0
+        assert "1 | g0 | -1/2*i*hbar + p0" in capsys.readouterr().out.splitlines()
         assert exprcli._alpha_values("-1/2, 3,0/5,7/14") == [
             Fraction(-1, 2), 3, 0, Fraction(1, 2)]
 
