@@ -668,6 +668,7 @@ def _default_order() -> int:
 
 
 def _build_argparser() -> argparse.ArgumentParser:
+    order = _default_order()
     ap = argparse.ArgumentParser(
         prog="diracobs",
         description="Exact operator algebra for a localized spin-1/2 particle: "
@@ -675,27 +676,31 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression to normal form")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("expr")
     p_eval.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
-    p_eval.add_argument("--order", type=_order_arg, default=_default_order())
+    p_eval.add_argument("--order", type=_order_arg, default=order)
     p_eval.add_argument("--gamma5-alias", action="store_true",
                         help="render i*g0 g1 g2 g3 monomials as gamma5")
 
     p_check = sub.add_parser("check", help="run the identity suite")
+    p_check.set_defaults(run=_cmd_check)
     p_check.add_argument("--manifest", default=None,
                          help="manifest path (default: shipped manifest)")
-    p_check.add_argument("--order", type=_order_arg, default=_default_order())
+    p_check.add_argument("--order", type=_order_arg, default=order)
     p_check.add_argument("--filter", default=None, help="entry-name prefix filter")
     p_check.add_argument("--format", choices=("md", "json"), default="md")
 
     p_conj = sub.add_parser("conjugate", help="accelerated-frame shift of an expression")
+    p_conj.set_defaults(run=_cmd_conjugate)
     p_conj.add_argument("expr")
-    p_conj.add_argument("--order", type=_order_arg, default=_default_order())
+    p_conj.add_argument("--order", type=_order_arg, default=order)
     p_conj.add_argument("--alpha", default=None,
                         help="rational substitution r0,r1,r2,r3 for the parameters")
     p_conj.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
     p_snap = sub.add_parser("snapshot", help="write golden normal-form snapshots")
+    p_snap.set_defaults(run=_cmd_snapshot)
     p_snap.add_argument("names", nargs="+",
                         help="catalog references, e.g. Xh[0] C[2] M")
     p_snap.add_argument("--out", required=True)
@@ -771,20 +776,15 @@ def _cmd_snapshot(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_argparser()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "conjugate":
-            return _cmd_conjugate(args)
-        if args.command == "snapshot":
-            return _cmd_snapshot(args)
+        args = _build_argparser().parse_args(argv)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone: end quietly, with fd 1 on the null
+        # device, so that the interpreter's exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (UnknownObservable, ExponentOverflow, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

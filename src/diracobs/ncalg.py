@@ -60,6 +60,7 @@ involution of the model is constructed in :mod:`~.observables`.
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb
@@ -164,28 +165,29 @@ class NCElement:
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other) -> "NCElement":
+    def _merge(self, other, sign: int) -> "NCElement":
+        """``self + sign*other`` for ``sign`` = +-1; only keys ``self`` lacks are negated."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._t)
         for k, s in other._t.items():
             prev = out.get(k)
-            v = prev + s if prev is not None else s
-            if v.is_zero:
-                if prev is not None:
-                    del out[k]
-            else:
+            if prev is None:
+                out[k] = s if sign > 0 else -s
+            elif v := (prev + s if sign > 0 else prev - s):
                 out[k] = v
+            else:
+                del out[k]
         return NCElement(out, normalize=False)
+
+    def __add__(self, other) -> "NCElement":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "NCElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __neg__(self) -> "NCElement":
         return NCElement({k: -s for k, s in self._t.items()}, normalize=False)
@@ -193,12 +195,13 @@ class NCElement:
     # -- multiplication -----------------------------------------------------
 
     def __mul__(self, other) -> "NCElement":
+        """Operator product; a number scales each coefficient in one pass."""
         if isinstance(other, NCElement):
             return self._mul_impl(other, None)
-        s = _coerce_scalar(other)
+        s = other if isinstance(other, (int, Fraction)) else _coerce_scalar(other)
         if s is NotImplemented:
             return NotImplemented
-        if s.is_zero:
+        if not s:
             return NCElement.zero()
         # Right-multiplying by a coefficient never reorders anything.
         return NCElement({k: v * s for k, v in self._t.items()})

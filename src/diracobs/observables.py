@@ -300,9 +300,6 @@ def catalog_names():
 
 # -- adjoint ----------------------------------------------------------------
 
-_INVOLUTION: Involution | None = None
-
-
 def _x_image(mu: int) -> NCElement:
     return x(mu) + gamma5() * W(mu) * (Scalar.imag_unit() * 2 * Scalar.w_pow(-2))
 
@@ -311,13 +308,11 @@ def _gamma_image(mu: int) -> NCElement:
     return V(mu) * 2 - gamma(mu)
 
 
+@lru_cache(maxsize=None)
 def involution() -> Involution:
-    """The canonical adjoint (built once, then shared)."""
-    global _INVOLUTION
-    if _INVOLUTION is None:
-        _INVOLUTION = Involution([_x_image(mu) for mu in range(4)],
-                                 [_gamma_image(mu) for mu in range(4)])
-    return _INVOLUTION
+    """The canonical adjoint, cached like every catalog builder."""
+    return Involution([_x_image(mu) for mu in range(4)],
+                      [_gamma_image(mu) for mu in range(4)])
 
 
 def adjoint(el: NCElement) -> NCElement:

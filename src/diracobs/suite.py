@@ -43,12 +43,9 @@ from .conventions import DEFAULT_ORDER
 from .ncalg import NCElement
 
 
-class ManifestParseError(ValueError):
+class ManifestParseError(exprcli.ParseError):
     def __init__(self, message: str, line: int, column: int = 1):
-        self.message = message
-        self.line = line
-        self.column = column
-        super().__init__(f"{line}:{column}: {message}")
+        super().__init__(message, line, column)
 
 
 class IdentityEntry:

@@ -484,3 +484,16 @@ class TestCLI:
         assert done.returncode == 0
         assert done.stderr == ""
         assert done.stdout.startswith("1 | g0 | p0\n")
+
+    def test_closed_stdout_ends_quietly(self):
+        # a reader that stops early, as `| head -n 1` does, is not an error:
+        # the pipe is closed before the child writes its first line
+        env = dict(os.environ)
+        env.pop(exprcli.ENV_ORDER, None)
+        cmd = [sys.executable, "-m", "diracobs", "conjugate", "M", "--order", "3"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as child:
+            child.stdout.close()
+            err = child.stderr.read()
+        assert child.returncode == 0
+        assert err == b""

@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracobs import frames as F, observables as obs, suite
 from diracobs.conventions import DEFAULT_ORDER, SIGNATURE
@@ -317,6 +318,50 @@ class TestGroupStructure:
         xb = F.xbar(1, 2)
         got = bracket(pb, xb).alpha_truncate(2)
         assert got == one
+
+
+#: Factors of x-degree 0 that the drawn elements multiply; at most one
+#: position is added per term, so every element has x-degree <= 1.
+_FACTORS = ([obs.gamma(mu) for mu in range(4)] + [obs.P(mu) for mu in range(4)]
+            + [obs.M()])
+
+
+@st.composite
+def _elements(draw) -> NCElement:
+    """Small sums of rational multiples of products of gamma, P, xc and M,
+    of x-degree <= 1: inputs that no manifest entry conjugates."""
+    out = NCElement.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        term = one * Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        for factor in draw(st.lists(st.sampled_from(_FACTORS), max_size=2)):
+            term = term * factor
+        mu = draw(st.none() | st.integers(0, 3))
+        if mu is not None:
+            term = term * obs.x(mu) if draw(st.booleans()) else obs.x(mu) * term
+        out = out + term
+    return out
+
+
+def _alpha_doubled(el: NCElement) -> NCElement:
+    """``el`` with every acceleration parameter alpha^mu replaced by 2 alpha^mu."""
+    out = NCElement.zero()
+    for k in range(el.alpha_degree() + 1):
+        out = out + el.alpha_part(k) * 2 ** k
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(_elements(), _elements(), st.integers(1, 2))
+def test_conjugation_properties_off_the_manifest(a, b, n):
+    conj_a = F.conjugate(a, n)
+    # an automorphism up to alpha-degree n
+    assert F.conjugate(a * b, n) == mul_truncated(conj_a, F.conjugate(b, n), n)
+    # sign -1 is the inverse group element
+    assert F.conjugate(conj_a, n, -1).alpha_truncate(n) == a.alpha_truncate(n)
+    # the generator a^rho C_rho is hermitian, so the shift commutes with the adjoint
+    assert obs.adjoint(conj_a) == F.conjugate(obs.adjoint(a), n)
+    # group law: two shifts by alpha are one shift by 2 alpha
+    assert F.conjugate(conj_a, n) == _alpha_doubled(conj_a)
 
 
 FRAME_LAWS = ["s5.traKsi", "s5.traG", "s5.traE", "s5.traP.law", "s5.recip", "s5.inv"]

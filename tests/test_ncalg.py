@@ -9,7 +9,7 @@ from diracobs import frames as F, observables as obs
 from diracobs.frames import NotInCommutativeSubalgebra
 from diracobs.ncalg import (NCElement, NotUnitalSeries, bracket, bracket_truncated,
                             dot, dot_truncated, geometric_inverse, mul_truncated)
-from diracobs.scalars import Scalar
+from diracobs.scalars import GRat, Scalar
 
 from conftest import random_element
 
@@ -74,12 +74,20 @@ class TestAlgebraLaws:
         for _ in range(40):
             a, b = random_element(rng, 2), random_element(rng, 2)
             assert bracket(a, b) == -bracket(b, a)
+            # a difference is one signed merge, not a sum with a negated copy
+            assert a - b == a + (-b)
+            assert a - a == NCElement.zero()
 
     def test_dot_symmetric_bilinear(self, rng):
         for _ in range(40):
             a, b, c = (random_element(rng, 2) for _ in range(3))
             assert dot(a, b) == dot(b, a)
             assert dot(a, b + c) == dot(a, b) + dot(a, c)
+            # a number multiple scales each coefficient in one pass; it
+            # equals the product with the number as a coefficient
+            for q in (0, 1, -1, Fraction(3, 4), Fraction(-5, 2)):
+                assert a * q == q * a == a * Scalar.from_rational(q)
+            assert a * GRat(1, -2) == a * Scalar.from_grat(GRat(1, -2))
 
     def test_bracket_x_degree_bound(self, rng):
         # Reordering consumes one x against one p-derivative.  This bound
